@@ -16,13 +16,13 @@ from .errors import (
     SchemeFailureError,
 )
 from .gpc import (
-    GpcBasis,
+    Basis,
     PolynomialFamily,
-    TensorBasis2D,
     build_basis,
     expectation_and_variance,
     project,
     reconstruct_at,
+    tensor_basis,
 )
 
 __all__ = [
@@ -32,11 +32,11 @@ __all__ = [
     "IntegrationBlowupError",
     "QuadratureInsufficiencyError",
     "SchemeFailureError",
-    "GpcBasis",
+    "Basis",
     "PolynomialFamily",
-    "TensorBasis2D",
     "build_basis",
     "expectation_and_variance",
     "project",
     "reconstruct_at",
+    "tensor_basis",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .diagnostics import (
 )
 from .ensemble import InitialCondition, save_snapshot
 from .errors import ConfigurationError, IntegrationBlowupError, SchemeFailureError
-from .gpc import PolynomialFamily, TensorBasis2D, build_basis
+from .gpc import PolynomialFamily, build_basis, tensor_basis
 from .models import CuckerSmaleParams, MorseSwarmParams, UncertainScalar
 from .pde_oracle import VelocityGrid, bimodal_density, oracle_expected_temperature, sg_homogeneous_solve
 from .solver import ModelSpec, SolverConfig, run
@@ -48,6 +49,26 @@ _DEFAULT_IC_KIND = {
     "cs_2d": "annulus_rotating_2d",
     "mill_2d": "annulus_rotating_2d",
     "combined_2d": "annulus_rotating_2d",
+}
+
+_ALIGNMENT_DEFAULTS = {"k": "1.0", "gamma": "0.1 + 0.05*theta"}
+_MORSE_DEFAULTS = {"a": "0.07", "b": "0.05", "c_a": "30 + theta", "c_r": "10 + theta",
+                   "ell_a": "100.0", "ell_r": "3.0"}
+# The [model] keys each experiment reads, with their defaults.
+_MODEL_DEFAULTS = {
+    "homogeneous": {"k": "1.0", "gamma": "0"},
+    "cs_1d": _ALIGNMENT_DEFAULTS,
+    "cs_2d": _ALIGNMENT_DEFAULTS,
+    "mill_2d": _MORSE_DEFAULTS,
+    "combined_2d": {**_ALIGNMENT_DEFAULTS, "k": "5.0", **_MORSE_DEFAULTS},
+}
+# The keys of the other sections.  Keys are lowercase because configparser
+# lowercases them on reading.
+_SECTION_KEYS = {
+    "experiment": ("kind", "n", "s", "m", "q", "dt", "t_end", "seed", "family", "integrator"),
+    "output": ("dir", "stride", "grid_min", "grid_max", "grid_bins", "pgm"),
+    "converge": ("reference", "reference_order"),
+    "oracle": ("points", "v_min", "v_max"),
 }
 
 
@@ -109,17 +130,12 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {candidate}: {exc}") from exc
 
-    def need(section, key, cast=str):
-        if not parser.has_option(section, key):
-            raise ConfigurationError(f"{candidate}: missing [{section}] {key}")
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{candidate}: bad value for [{section}] {key}: {raw!r}") from exc
+    required = object()
 
-    def opt(section, key, default, cast=str):
+    def get(section, key, default=required, cast=str):
         if not parser.has_option(section, key):
+            if default is required:
+                raise ConfigurationError(f"{candidate}: missing [{section}] {key}")
             return default
         raw = parser.get(section, key)
         try:
@@ -128,74 +144,87 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigurationError(f"{candidate}: bad value for [{section}] {key}: {raw!r}") from exc
 
     as_int = lambda s: int(float(s))
-    kind = need("experiment", "kind")
+    kind = get("experiment", "kind")
     if kind not in EXPERIMENTS:
         raise ConfigurationError(f"{candidate}: unknown experiment kind {kind!r} (choose from {EXPERIMENTS})")
-    family = opt("experiment", "family", "legendre").lower()
+    known = {**_SECTION_KEYS, "model": _MODEL_DEFAULTS[kind]}
+    for section in parser.sections():
+        if section == "initial":
+            continue  # checked against the initial condition's parameters when it is built
+        if section not in known:
+            raise ConfigurationError(f"{candidate}: unknown section [{section}]")
+        unknown = sorted(set(parser.options(section)) - set(known[section]))
+        if unknown:
+            raise ConfigurationError(
+                f"{candidate}: unknown [{section}] key(s) for experiment {kind!r}: {', '.join(unknown)}")
+    family = get("experiment", "family", "legendre").lower()
     if family not in ("legendre", "hermite"):
         raise ConfigurationError(f"{candidate}: unknown family {family!r}")
     model_params = dict(parser.items("model")) if parser.has_section("model") else {}
-    ic_kind = opt("initial", "kind", _DEFAULT_IC_KIND[kind])
+    ic_kind = get("initial", "kind", _DEFAULT_IC_KIND[kind])
     ic_params = {k: float(v) for k, v in (parser.items("initial") if parser.has_section("initial") else [])
                  if k != "kind"}
     cfg = ExperimentConfig(
         kind=kind,
-        n_particles=need("experiment", "N", as_int),
-        subsample_size=need("experiment", "S", as_int),
-        order=need("experiment", "M", as_int),
-        quad_points=opt("experiment", "Q", None, as_int),
-        dt=need("experiment", "dt", float),
-        t_end=need("experiment", "t_end", float),
-        seed=opt("experiment", "seed", 0, as_int),
+        n_particles=get("experiment", "N", cast=as_int),
+        subsample_size=get("experiment", "S", cast=as_int),
+        order=get("experiment", "M", cast=as_int),
+        quad_points=get("experiment", "Q", None, as_int),
+        dt=get("experiment", "dt", cast=float),
+        t_end=get("experiment", "t_end", cast=float),
+        seed=get("experiment", "seed", 0, as_int),
         family=family,
         model_params=model_params,
         ic_kind=ic_kind,
         ic_params=ic_params,
-        out_dir=opt("output", "dir", "out"),
-        stride=opt("output", "stride", 1, as_int),
-        grid_min=opt("output", "grid_min", -2.0, float),
-        grid_max=opt("output", "grid_max", 2.0, float),
-        grid_bins=opt("output", "grid_bins", 50, as_int),
-        pgm=opt("output", "pgm", False, lambda s: s.strip().lower() in ("1", "true", "yes", "on")),
-        integrator=opt("experiment", "integrator", "rk4"),
-        reference=opt("converge", "reference", "particle"),
-        reference_order=opt("converge", "reference_order", None, as_int),
-        oracle_points=opt("oracle", "points", 801, as_int),
-        oracle_v_min=opt("oracle", "v_min", -2.0, float),
-        oracle_v_max=opt("oracle", "v_max", 2.0, float),
+        out_dir=get("output", "dir", "out"),
+        stride=get("output", "stride", 1, as_int),
+        grid_min=get("output", "grid_min", -2.0, float),
+        grid_max=get("output", "grid_max", 2.0, float),
+        grid_bins=get("output", "grid_bins", 50, as_int),
+        pgm=get("output", "pgm", False, lambda s: s.strip().lower() in ("1", "true", "yes", "on")),
+        integrator=get("experiment", "integrator", "rk4"),
+        reference=get("converge", "reference", "particle"),
+        reference_order=get("converge", "reference_order", None, as_int),
+        oracle_points=get("oracle", "points", 801, as_int),
+        oracle_v_min=get("oracle", "v_min", -2.0, float),
+        oracle_v_max=get("oracle", "v_max", 2.0, float),
         source=str(candidate),
     )
+    if cfg.stride < 1:
+        raise ConfigurationError(f"{candidate}: [output] stride must be >= 1, got {cfg.stride}")
+    if cfg.grid_bins < 1:
+        raise ConfigurationError(f"{candidate}: [output] grid_bins must be >= 1, got {cfg.grid_bins}")
+    if not cfg.grid_min < cfg.grid_max:
+        raise ConfigurationError(
+            f"{candidate}: [output] needs grid_min < grid_max, got {cfg.grid_min} and {cfg.grid_max}")
     build_experiment(cfg)  # validate eagerly, before any artifact is written
     return cfg
 
 
-def _model_scalar(cfg: ExperimentConfig, key: str, default=None) -> UncertainScalar:
-    if key in cfg.model_params:
-        return UncertainScalar.parse(cfg.model_params[key])
-    if default is None:
-        raise ConfigurationError(f"{cfg.source}: experiment {cfg.kind!r} needs [model] {key}")
-    return UncertainScalar.parse(str(default))
+def _model_value(cfg: ExperimentConfig, key: str) -> str:
+    return cfg.model_params.get(key, _MODEL_DEFAULTS[cfg.kind][key])
 
 
-def _model_float(cfg: ExperimentConfig, key: str, default=None) -> float:
-    if key in cfg.model_params:
-        try:
-            return float(cfg.model_params[key])
-        except ValueError as exc:
-            raise ConfigurationError(f"{cfg.source}: [model] {key} must be a number") from exc
-    if default is None:
-        raise ConfigurationError(f"{cfg.source}: experiment {cfg.kind!r} needs [model] {key}")
-    return float(default)
+def _model_scalar(cfg: ExperimentConfig, key: str) -> UncertainScalar:
+    return UncertainScalar.parse(_model_value(cfg, key))
+
+
+def _model_float(cfg: ExperimentConfig, key: str) -> float:
+    try:
+        return float(_model_value(cfg, key))
+    except ValueError as exc:
+        raise ConfigurationError(f"{cfg.source}: [model] {key} must be a number") from exc
 
 
 def _build_morse(cfg: ExperimentConfig) -> MorseSwarmParams:
     return MorseSwarmParams(
-        a=_model_float(cfg, "a", 0.07),
-        b=_model_float(cfg, "b", 0.05),
-        C_A=_model_scalar(cfg, "c_a", "30 + theta"),
-        C_R=_model_scalar(cfg, "c_r", "10 + theta"),
-        ell_A=_model_float(cfg, "ell_a", 100.0),
-        ell_R=_model_float(cfg, "ell_r", 3.0),
+        a=_model_float(cfg, "a"),
+        b=_model_float(cfg, "b"),
+        C_A=_model_scalar(cfg, "c_a"),
+        C_R=_model_scalar(cfg, "c_r"),
+        ell_A=_model_float(cfg, "ell_a"),
+        ell_R=_model_float(cfg, "ell_r"),
     )
 
 
@@ -203,27 +232,19 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[InitialCondition, SolverCon
     """Resolve a config into the initial condition and solver configuration."""
     family = PolynomialFamily(cfg.family)
     basis = build_basis(family, cfg.order, cfg.quad_points)
-    if cfg.kind == "homogeneous":
-        gamma = _model_scalar(cfg, "gamma", "0")
-        if not (gamma.is_constant and gamma.c0 == 0.0):
-            raise ConfigurationError(
-                f"{cfg.source}: the homogeneous experiment requires gamma = 0, got {gamma}"
-            )
-        model = ModelSpec(basis=basis, alignment=CuckerSmaleParams(K=_model_scalar(cfg, "k", "1.0"), gamma=gamma))
-    elif cfg.kind in ("cs_1d", "cs_2d"):
-        model = ModelSpec(basis=basis, alignment=CuckerSmaleParams(
-            K=_model_scalar(cfg, "k", "1.0"), gamma=_model_scalar(cfg, "gamma", "0.1 + 0.05*theta")))
-    elif cfg.kind == "mill_2d":
-        model = ModelSpec(basis=basis, morse=_build_morse(cfg))
-    elif cfg.kind == "combined_2d":
-        # Alignment rides the first random input, Morse strengths the second.
-        tensor = TensorBasis2D(basis, build_basis(family, cfg.order, cfg.quad_points))
+    alignment = morse = None
+    if cfg.kind != "mill_2d":
+        alignment = CuckerSmaleParams(K=_model_scalar(cfg, "k"), gamma=_model_scalar(cfg, "gamma"))
+    if cfg.kind in ("mill_2d", "combined_2d"):
         morse = _build_morse(cfg)
-        model = ModelSpec(basis=tensor, alignment=CuckerSmaleParams(
-            K=_model_scalar(cfg, "k", "5.0"), gamma=_model_scalar(cfg, "gamma", "0.1 + 0.05*theta")),
-            morse=morse)
-    else:  # pragma: no cover - kinds validated at parse time
-        raise ConfigurationError(f"unknown experiment kind {cfg.kind!r}")
+    if cfg.kind == "homogeneous" and not (alignment.gamma.is_constant and alignment.gamma.c0 == 0.0):
+        raise ConfigurationError(
+            f"{cfg.source}: the homogeneous experiment requires gamma = 0, got {alignment.gamma}"
+        )
+    if cfg.kind == "combined_2d":
+        # Alignment rides the first random input, Morse strengths the second.
+        basis = tensor_basis(basis, build_basis(family, cfg.order, cfg.quad_points))
+    model = ModelSpec(basis=basis, alignment=alignment, morse=morse)
 
     builders = {
         "bimodal_velocity_1d": InitialCondition.bimodal_velocity_1d,
@@ -253,7 +274,8 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[InitialCondition, SolverCon
     return ic, solver_cfg
 
 
-def _manifest_lines(cfg: ExperimentConfig, command: str, threads: int | None, extra: dict | None = None) -> list[str]:
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig, command: str, threads: int | None,
+                    extra: dict | None = None) -> None:
     lines = [f"swarmuq_version={__version__}", f"command={command}", f"threads={threads or 1}"]
     for fld in dataclasses.fields(cfg):
         value = getattr(cfg, fld.name)
@@ -264,12 +286,7 @@ def _manifest_lines(cfg: ExperimentConfig, command: str, threads: int | None, ex
             lines.append(f"{fld.name}={value}")
     for key, value in (extra or {}).items():
         lines.append(f"{key}={value}")
-    return lines
-
-
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, command: str, threads: int | None,
-                    extra: dict | None = None) -> None:
-    (out_dir / "manifest.txt").write_text("\n".join(_manifest_lines(cfg, command, threads, extra)) + "\n")
+    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
 def _grid_axes(cfg: ExperimentConfig, n: int):
@@ -291,27 +308,46 @@ def _emit_densities(out_dir: Path, ens, cfg: ExperimentConfig) -> None:
         write_velocity_field_csv(counts, means, out_dir / "velocity_field.csv")
 
 
+def _configured(config_path, out: str | None = None, seed: int | None = None) -> ExperimentConfig:
+    """Load a config and apply the command-line overrides."""
+    cfg = load_config(config_path)
+    if out is not None:
+        cfg = dataclasses.replace(cfg, out_dir=out)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
+    return cfg
+
+
+def _exit_code(command):
+    """Report a command's failures on stderr with their exit codes: 2 for a
+    configuration error, 3 for a numerical failure.  Commands validate
+    their inputs before they create the output directory, so a
+    configuration error leaves nothing behind."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except (IntegrationBlowupError, SchemeFailureError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+
+    return guarded
+
+
+@_exit_code
 def cmd_run(config_path, out: str | None = None, seed: int | None = None,
             threads: int | None = None) -> int:
-    try:
-        cfg = load_config(config_path)
-        if out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=out)
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        ic, solver_cfg = build_experiment(cfg)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _configured(config_path, out, seed)
+    ic, solver_cfg = build_experiment(cfg)
     basis = solver_cfg.model.basis
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        records, final = run(ic, solver_cfg, observers=[lambda e: compute_stats(e, basis)],
-                             observer_stride=cfg.stride)
-    except (IntegrationBlowupError, SchemeFailureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    records, final = run(ic, solver_cfg, observers=[lambda e: compute_stats(e, basis)],
+                         observer_stride=cfg.stride)
     write_stats_csv([stats for _, (stats,) in records], out_dir / "stats.csv")
     _emit_densities(out_dir, final, cfg)
     save_snapshot(final, out_dir / "ensemble_final.csv", basis=basis, seed=cfg.seed)
@@ -338,57 +374,52 @@ def _final_temperature(cfg: ExperimentConfig) -> float:
     return expected_temperature(final, solver_cfg.model.basis)
 
 
-def _oracle_temperature(cfg: ExperimentConfig) -> float:
+def _oracle_problem(cfg: ExperimentConfig):
+    """Velocity grid, basis, initial density and strength K of the
+    finite-difference reference solve."""
     grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
     basis = build_basis(PolynomialFamily(cfg.family), cfg.order, cfg.quad_points)
     params = {k: v for k, v in cfg.ic_params.items() if k in ("sigma_v_sq", "mu")}
-    f0 = bimodal_density(grid, **params)
-    sol = sg_homogeneous_solve(f0, _model_scalar(cfg, "k", "1.0"), basis, grid, t_end=cfg.t_end)
+    return grid, basis, bimodal_density(grid, **params), _model_scalar(cfg, "k")
+
+
+def _oracle_temperature(cfg: ExperimentConfig) -> float:
+    grid, basis, f0, strength = _oracle_problem(cfg)
+    sol = sg_homogeneous_solve(f0, strength, basis, grid, t_end=cfg.t_end)
     return oracle_expected_temperature(sol, basis)
 
 
+@_exit_code
 def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | None = None,
                  threads: int | None = None) -> int:
+    cfg = _configured(config_path, out, seed)
+    axis, _, raw_values = sweep.partition("=")
+    axis = axis.strip().upper()
     try:
-        cfg = load_config(config_path)
-        if out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=out)
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        axis, _, raw_values = sweep.partition("=")
-        axis = axis.strip().upper()
-        try:
-            values = [int(float(v)) for v in raw_values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigurationError(f"bad sweep values {raw_values!r}") from exc
-        if not values:
-            raise ConfigurationError(f"empty sweep {sweep!r}")
-        points = list(_sweep_points(cfg, axis, values))
-        if cfg.reference not in ("particle", "oracle"):
-            raise ConfigurationError(f"reference must be 'particle' or 'oracle', got {cfg.reference!r}")
-        if cfg.reference == "oracle" and cfg.kind != "homogeneous":
-            raise ConfigurationError("the oracle reference is only available for the homogeneous experiment")
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        values = [int(float(v)) for v in raw_values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"bad sweep values {raw_values!r}") from exc
+    if not values:
+        raise ConfigurationError(f"empty sweep {sweep!r}")
+    points = list(_sweep_points(cfg, axis, values))
+    if cfg.reference not in ("particle", "oracle"):
+        raise ConfigurationError(f"reference must be 'particle' or 'oracle', got {cfg.reference!r}")
+    if cfg.reference == "oracle" and cfg.kind != "homogeneous":
+        raise ConfigurationError("the oracle reference is only available for the homogeneous experiment")
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        if cfg.reference == "oracle":
-            reference = _oracle_temperature(cfg)
-        else:
-            ref_order = cfg.reference_order
-            if ref_order is None:
-                ref_order = max(values) + 4 if axis == "M" else cfg.order
-            ref_cfg = dataclasses.replace(cfg, order=ref_order, quad_points=None,
-                                          subsample_size=cfg.n_particles)
-            reference = _final_temperature(ref_cfg)
-        with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-            temps = list(pool.map(lambda pc: _final_temperature(pc[1]), points))
-    except (IntegrationBlowupError, SchemeFailureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    if cfg.reference == "oracle":
+        reference = _oracle_temperature(cfg)
+    else:
+        ref_order = cfg.reference_order
+        if ref_order is None:
+            ref_order = max(values) + 4 if axis == "M" else cfg.order
+        ref_cfg = dataclasses.replace(cfg, order=ref_order, quad_points=None,
+                                      subsample_size=cfg.n_particles)
+        reference = _final_temperature(ref_cfg)
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+        temps = list(pool.map(lambda pc: _final_temperature(pc[1]), points))
     with open(out_dir / "errors.csv", "w") as fh:
         fh.write("M,S,N,temperature,reference,abs_error,rel_error\n")
         for (value, point_cfg), temp in zip(points, temps):
@@ -403,36 +434,22 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     return 0
 
 
+@_exit_code
 def cmd_oracle(config_path, out: str | None = None, seed: int | None = None,
                threads: int | None = None) -> int:
-    try:
-        cfg = load_config(config_path)
-        if out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=out)
-        if cfg.kind != "homogeneous":
-            raise ConfigurationError("the oracle command only applies to the homogeneous experiment")
-        grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
-        basis = build_basis(PolynomialFamily(cfg.family), cfg.order, cfg.quad_points)
-        params = {k: v for k, v in cfg.ic_params.items() if k in ("sigma_v_sq", "mu")}
-        f0 = bimodal_density(grid, **params)
-        strength = _model_scalar(cfg, "k", "1.0")
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _configured(config_path, out)  # the reference solve draws no random numbers
+    if cfg.kind != "homogeneous":
+        raise ConfigurationError("the oracle command only applies to the homogeneous experiment")
+    grid, basis, f0, strength = _oracle_problem(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     history = []
-    stride = max(1, int(round(cfg.dt / (grid.dv ** 2)))) * max(cfg.stride, 1)
-    try:
-        sol = sg_homogeneous_solve(
-            f0, strength, basis, grid, t_end=cfg.t_end,
-            observers=[lambda s: history.append((s.time, oracle_expected_temperature(s, basis)))],
-            observer_stride=stride,
-        )
-    except (ConfigurationError, SchemeFailureError) as exc:
-        failure_code = 2 if isinstance(exc, ConfigurationError) else 3
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return failure_code
+    stride = max(1, int(round(cfg.dt / (grid.dv ** 2)))) * cfg.stride
+    sol = sg_homogeneous_solve(
+        f0, strength, basis, grid, t_end=cfg.t_end,
+        observers=[lambda s: history.append((s.time, oracle_expected_temperature(s, basis)))],
+        observer_stride=stride,
+    )
     with open(out_dir / "oracle_solution.csv", "w") as fh:
         for j in range(grid.n_points):
             fh.write(",".join(repr(float(x)) for x in sol.coeffs[:, j]) + "\n")

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .gpc import GpcBasis, TensorBasis2D, project
 
 
 @dataclass
@@ -155,8 +154,8 @@ def sample_initial(ic: InitialCondition, n_particles: int, seed: int, modes: int
 def evaluate_at_theta(ens: GpcEnsemble, i: int, theta, basis) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct particle i's position and velocity at a random-input value.
 
-    ``theta`` is a scalar for a 1D basis or a (theta1, theta2) pair for a
-    tensor basis.
+    ``theta`` is a scalar for a one-input basis or a (theta1, theta2) pair
+    for a two-input basis.
     """
     if not 0 <= i < ens.n_particles:
         raise IndexError(f"particle index {i} out of range [0, {ens.n_particles})")
@@ -176,23 +175,15 @@ def evaluate_at_nodes(ens: GpcEnsemble, basis) -> tuple[np.ndarray, np.ndarray]:
     return ens.x_hat @ basis.basis_table, ens.v_hat @ basis.basis_table
 
 
-def project_nodes_to_modes(values: np.ndarray, basis) -> np.ndarray:
-    """Project per-node values (..., n_nodes) back to coefficients (..., n_modes)."""
-    return project(values, basis)
-
-
 _SNAPSHOT_HEADER = "i,dim,mode,x_hat,v_hat"
 
 
 def _basis_meta(basis) -> dict:
-    if isinstance(basis, TensorBasis2D):
-        return {
-            "M": f"{basis.basis1.order}|{basis.basis2.order}",
-            "family": f"{basis.basis1.family.value}|{basis.basis2.family.value}",
-        }
-    if isinstance(basis, GpcBasis):
-        return {"M": str(basis.order), "family": basis.family.value}
-    return {"M": "", "family": ""}
+    """Orders and families of the basis, one per random input, joined by '|'."""
+    if basis is None:
+        return {"M": "", "family": ""}
+    return {"M": "|".join(map(str, basis.orders)),
+            "family": "|".join(family.value for family in basis.families)}
 
 
 def save_snapshot(ens: GpcEnsemble, path, basis=None, seed: int | None = None) -> None:

@@ -1,4 +1,4 @@
-"""Orthogonal polynomial bases for a scalar random input.
+"""Orthogonal polynomial bases for independent scalar random inputs.
 
 Each basis pairs a polynomial family with the probability law it is
 orthogonal against (Legendre with the uniform law on [-1, 1], Hermite
@@ -13,7 +13,8 @@ mean/variance read directly off the coefficients.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,42 +74,64 @@ _FAMILY_RULES = {
 
 
 @dataclass(frozen=True)
-class GpcBasis:
-    """Orthogonal basis plus the Gauss rule of its probability law.
+class Basis:
+    """Orthogonal chaos basis over independent random inputs, plus the
+    Gauss rule of their joint law.
+
+    A basis over several inputs is the tensor product of one-input bases:
+    joint mode (k, h) sits at flat position k * m2 + h (second index
+    fastest), and the joint quadrature nodes use the same layout over the
+    product grid.
 
     Attributes
     ----------
-    family : PolynomialFamily
-    order : int
-        Highest polynomial degree M; the basis has M + 1 modes.
-    quad_nodes : ndarray, shape (Q,)
+    families : tuple of PolynomialFamily, one per random input
+    orders : tuple of int
+        Highest polynomial degree per input.
+    nodes : ndarray, shape (n_inputs, Q)
+        Value of each random input at each joint quadrature node.
     quad_weights : ndarray, shape (Q,)
         Nonnegative, sum to 1 (they integrate the probability density).
-    basis_table : ndarray, shape (M + 1, Q)
-        Values P_h(theta_q).
-    sq_norms : ndarray, shape (M + 1,)
-        Squared norms ||P_h||^2 under the probability law.
+    basis_table : ndarray, shape (n_modes, Q)
+        Values of the joint modes at the joint nodes.
+    sq_norms : ndarray, shape (n_modes,)
+        Squared norms of the joint modes under the probability law.
     """
 
-    family: PolynomialFamily
-    order: int
-    quad_nodes: np.ndarray
+    families: tuple
+    orders: tuple
+    nodes: np.ndarray
     quad_weights: np.ndarray
     basis_table: np.ndarray
     sq_norms: np.ndarray
 
+    def __post_init__(self):
+        for arr in (self.nodes, self.quad_weights, self.basis_table, self.sq_norms):
+            arr.flags.writeable = False
+
     @property
     def n_modes(self) -> int:
-        return self.order + 1
+        return self.basis_table.shape[0]
 
     @property
     def n_nodes(self) -> int:
-        return self.quad_nodes.size
+        return self.quad_weights.size
+
+    @property
+    def quad_nodes(self) -> np.ndarray:
+        """Nodes of the first random input, shape (Q,); all nodes of a one-input basis."""
+        return self.nodes[0]
 
     def eval_basis(self, theta) -> np.ndarray:
-        """Values of all modes at arbitrary theta, shape (n_modes,) + theta.shape."""
-        _, values = _FAMILY_RULES[self.family]
-        return values(self.order, np.asarray(theta, dtype=float))
+        """Values of all modes at theta, shape (n_modes,) + theta.shape.
+
+        ``theta`` is one value (or array) per random input: a scalar or
+        array for a one-input basis, a (theta1, theta2) pair for two.
+        """
+        thetas = (theta,) if len(self.families) == 1 else theta
+        values = [_FAMILY_RULES[family][1](order, np.asarray(t, dtype=float))
+                  for family, order, t in zip(self.families, self.orders, thetas)]
+        return functools.reduce(np.kron, values)
 
     def projection_matrix(self) -> np.ndarray:
         """Matrix P with P[q, h] = w_q P_h(theta_q) / ||P_h||^2.
@@ -117,13 +140,26 @@ class GpcBasis:
         """
         return (self.quad_weights[:, None] * self.basis_table.T) / self.sq_norms[None, :]
 
+    def coupling_matrix(self, factor) -> np.ndarray:
+        """Modal matrix of multiplication by a random factor f.
+
+        e[h, k] = sum_q w_q f(theta_q) P_k(theta_q) P_h(theta_q) / ||P_h||^2,
+        with f given by its values at the nodes.  A scalar f is constant in
+        theta and gives the exact diagonal f * I: orthogonality means a
+        constant factor never mixes modes.
+        """
+        if np.ndim(factor) == 0:
+            return factor * np.eye(self.n_modes)
+        weighted = self.quad_weights * factor
+        return (self.basis_table * weighted) @ self.basis_table.T / self.sq_norms[:, None]
+
 
 def build_basis(
     family: PolynomialFamily,
     order: int,
     quad_points: int | None = None,
-) -> GpcBasis:
-    """Construct a basis with its Gauss quadrature rule.
+) -> Basis:
+    """Construct a one-input basis with its Gauss quadrature rule.
 
     ``quad_points`` defaults to 2 * (order + 1), exact for polynomial
     integrands up to degree 4 * order + 3; it must be at least order + 1
@@ -143,76 +179,31 @@ def build_basis(
     rule, values = _FAMILY_RULES[family]
     nodes, weights = rule(quad_points)
     table = values(order, nodes)
-    sq_norms = table**2 @ weights
-    basis = GpcBasis(
-        family=family,
-        order=order,
-        quad_nodes=nodes,
+    return Basis(
+        families=(family,),
+        orders=(order,),
+        nodes=nodes[None, :],
         quad_weights=weights,
         basis_table=table,
-        sq_norms=sq_norms,
+        sq_norms=table**2 @ weights,
     )
-    for arr in (basis.quad_nodes, basis.quad_weights, basis.basis_table, basis.sq_norms):
-        arr.flags.writeable = False
-    return basis
 
 
-@dataclass(frozen=True)
-class TensorBasis2D:
-    """Tensorized basis for two independent random inputs.
+def tensor_basis(first: Basis, second: Basis) -> Basis:
+    """Tensor product of two bases over independent random inputs.
 
-    Joint modes are ordered with the second index fastest: mode (k, h)
-    sits at flat position k * (M2 + 1) + h.  Joint quadrature nodes use
-    the same layout over the (Q1 x Q2) grid, so the flattened attributes
-    below expose the same interface as :class:`GpcBasis` and downstream
-    quadrature code works unchanged.
+    The inputs of ``first`` come before those of ``second``; modes and
+    nodes are laid out with the second basis fastest.
     """
-
-    basis1: GpcBasis
-    basis2: GpcBasis
-    quad_weights: np.ndarray = field(init=False)
-    basis_table: np.ndarray = field(init=False)
-    sq_norms: np.ndarray = field(init=False)
-    nodes1: np.ndarray = field(init=False)
-    nodes2: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        b1, b2 = self.basis1, self.basis2
-        weights = np.kron(b1.quad_weights, b2.quad_weights)
-        table = np.kron(b1.basis_table, b2.basis_table)
-        sq_norms = np.kron(b1.sq_norms, b2.sq_norms)
-        nodes1 = np.repeat(b1.quad_nodes, b2.n_nodes)
-        nodes2 = np.tile(b2.quad_nodes, b1.n_nodes)
-        for name, arr in (
-            ("quad_weights", weights),
-            ("basis_table", table),
-            ("sq_norms", sq_norms),
-            ("nodes1", nodes1),
-            ("nodes2", nodes2),
-        ):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_modes(self) -> int:
-        return self.basis1.n_modes * self.basis2.n_modes
-
-    @property
-    def n_nodes(self) -> int:
-        return self.basis1.n_nodes * self.basis2.n_nodes
-
-    def mode_index(self, k: int, h: int) -> int:
-        return k * self.basis2.n_modes + h
-
-    def eval_basis(self, theta) -> np.ndarray:
-        """Joint mode values at theta = (theta1, theta2)."""
-        t1, t2 = theta
-        v1 = self.basis1.eval_basis(t1)
-        v2 = self.basis2.eval_basis(t2)
-        return np.kron(v1, v2)
-
-    def projection_matrix(self) -> np.ndarray:
-        return (self.quad_weights[:, None] * self.basis_table.T) / self.sq_norms[None, :]
+    return Basis(
+        families=first.families + second.families,
+        orders=first.orders + second.orders,
+        nodes=np.vstack([np.repeat(first.nodes, second.n_nodes, axis=1),
+                         np.tile(second.nodes, (1, first.n_nodes))]),
+        quad_weights=np.kron(first.quad_weights, second.quad_weights),
+        basis_table=np.kron(first.basis_table, second.basis_table),
+        sq_norms=np.kron(first.sq_norms, second.sq_norms),
+    )
 
 
 def project(samples_at_nodes, basis) -> np.ndarray:

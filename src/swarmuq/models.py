@@ -159,43 +159,11 @@ def alignment_kernel(k, gamma, r_sq):
     return k / (1.0 + np.asarray(r_sq, dtype=float)) ** gamma
 
 
-def cs_kernel(params: CuckerSmaleParams, theta: float, r_sq) -> float | np.ndarray:
-    """Alignment strength at random input theta and squared distance r_sq."""
-    return alignment_kernel(params.K(theta), params.gamma(theta), r_sq)
-
-
-def morse_potential(params: MorseSwarmParams, theta: float, r) -> float | np.ndarray:
-    """Pair potential -C_A exp(-r/l_A) + C_R exp(-r/l_R) at distance r >= 0."""
-    r = np.asarray(r, dtype=float)
-    return -params.C_A(theta) * np.exp(-r / params.ell_A) + params.C_R(theta) * np.exp(-r / params.ell_R)
-
-
 def morse_radial_slope(c_a, c_r, ell_a, ell_r, r):
-    """dU/dr of the Morse pair potential; broadcasts over strengths and radii."""
+    """dU/dr of the Morse pair potential U(r) = -C_A exp(-r/l_A) + C_R exp(-r/l_R);
+    broadcasts over strengths and radii."""
     r = np.asarray(r, dtype=float)
     return (c_a / ell_a) * np.exp(-r / ell_a) - (c_r / ell_r) * np.exp(-r / ell_r)
-
-
-def morse_force(params: MorseSwarmParams, theta: float, dx) -> np.ndarray:
-    """Force on the particle at x_i from one at x_j, with dx = x_i - x_j.
-
-    Returns -grad_{x_i} U(theta; |dx|) = -U'(|dx|) dx/|dx|.  At dx = 0 the
-    direction is undefined; the zero vector is returned so that symmetric
-    pairs cancel and no NaN propagates.
-    """
-    dx = np.asarray(dx, dtype=float)
-    r = np.linalg.norm(dx, axis=-1, keepdims=True)
-    slope = morse_radial_slope(params.C_A(theta), params.C_R(theta), params.ell_A, params.ell_R, r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        force = -slope * dx / r
-    return np.where(r > 0.0, force, 0.0)
-
-
-def self_propulsion(params: MorseSwarmParams, v) -> np.ndarray:
-    """Propulsion-friction term (a - b |v|^2) v; vanishes at speed sqrt(a/b)."""
-    v = np.asarray(v, dtype=float)
-    speed_sq = np.sum(v**2, axis=-1, keepdims=True)
-    return (params.a - params.b * speed_sq) * v
 
 
 class FlockingRegime(enum.Enum):

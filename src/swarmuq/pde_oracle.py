@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SchemeFailureError
-from .gpc import GpcBasis
+from .gpc import Basis
 from .models import UncertainScalar, _as_uncertain
+from .timegrid import time_steps
 
 
 @dataclass(frozen=True)
@@ -68,20 +69,10 @@ def bimodal_density(grid: VelocityGrid, sigma_v_sq: float = 0.1, mu: float = 0.2
     return f / (f.sum() * grid.dv)
 
 
-def _kernel_matrix(K: UncertainScalar, basis: GpcBasis) -> np.ndarray:
-    """Mode-coupling matrix: projection of K(theta) against basis products,
-    row-normalized by the squared norms.  Exactly diagonal for constant K."""
-    if K.is_constant:
-        return K.c0 * np.eye(basis.n_modes)
-    k_nodes = np.atleast_1d(K(basis.quad_nodes))
-    weighted = basis.quad_weights * k_nodes
-    return (basis.basis_table * weighted) @ basis.basis_table.T / basis.sq_norms[:, None]
-
-
 def sg_homogeneous_solve(
     f0: np.ndarray,
     K: UncertainScalar | float | str,
-    basis: GpcBasis,
+    basis: Basis,
     grid: VelocityGrid,
     dt: float | None = None,
     t_end: float = 1.0,
@@ -116,7 +107,8 @@ def sg_homogeneous_solve(
     coeffs = np.zeros((basis.n_modes, grid.n_points))
     coeffs[0] = f0
     u = float((v * f0).sum() * dv)
-    kernel = _kernel_matrix(K, basis)
+    # mode-coupling matrix of K(theta); exactly diagonal for constant K
+    kernel = basis.coupling_matrix(K.c0 if K.is_constant else np.atleast_1d(K(basis.quad_nodes)))
 
     def rhs(c: np.ndarray) -> np.ndarray:
         drift = v - ((v * c[0]).sum() * dv if recompute_mean else u)
@@ -136,11 +128,7 @@ def sg_homogeneous_solve(
             obs(SgDensity(grid=grid, coeffs=sol.coeffs.copy(), time=sol.time, u=sol.u))
 
     observe()
-    n_full = int(np.floor(t_end / dt + 1e-12)) if t_end > 0 else 0
-    remainder = t_end - n_full * dt
-    dts = [dt] * n_full
-    if remainder > 1e-12 * max(1.0, dt):
-        dts.append(remainder)
+    dts = time_steps(t_end, dt)
     for step_index, h in enumerate(dts):
         c = sol.coeffs
         k1 = rhs(c)
@@ -162,7 +150,7 @@ def sg_homogeneous_solve(
     return sol
 
 
-def oracle_expected_temperature(sol: SgDensity, basis: GpcBasis) -> float:
+def oracle_expected_temperature(sol: SgDensity, basis: Basis) -> float:
     """Expectation over theta of the velocity variance around u.
 
     Reconstructs the density at each quadrature node and integrates

@@ -17,20 +17,21 @@ zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
-from .ensemble import GpcEnsemble, InitialCondition, evaluate_at_nodes, sample_initial
+from .ensemble import GpcEnsemble, InitialCondition, sample_initial
 from .errors import ConfigurationError, IntegrationBlowupError
-from .gpc import GpcBasis, TensorBasis2D
+from .gpc import Basis, PolynomialFamily, build_basis
 from .models import (
     CuckerSmaleParams,
     MorseSwarmParams,
     alignment_kernel,
     morse_radial_slope,
 )
+from .timegrid import time_steps
 
 # Element budget for pairwise intermediates; keeps peak memory bounded.
 _CHUNK_BUDGET = 1 << 22
@@ -40,11 +41,11 @@ _CHUNK_BUDGET = 1 << 22
 class ModelSpec:
     """Which forces act, with their parameters and the uncertainty basis.
 
-    With a tensor basis the alignment parameters depend on the first
-    random input only and the Morse strengths on the second only.
+    With a basis over two random inputs the alignment parameters depend
+    on the first input only and the Morse strengths on the last only.
     """
 
-    basis: GpcBasis | TensorBasis2D
+    basis: Basis
     alignment: CuckerSmaleParams | None = None
     morse: MorseSwarmParams | None = None
 
@@ -57,16 +58,12 @@ class ModelSpec:
     @property
     def alignment_nodes(self) -> np.ndarray:
         """Quadrature values of the random input driving the alignment kernel."""
-        if isinstance(self.basis, TensorBasis2D):
-            return self.basis.nodes1
-        return self.basis.quad_nodes
+        return self.basis.nodes[0]
 
     @property
     def morse_nodes(self) -> np.ndarray:
         """Quadrature values of the random input driving the Morse strengths."""
-        if isinstance(self.basis, TensorBasis2D):
-            return self.basis.nodes2
-        return self.basis.quad_nodes
+        return self.basis.nodes[-1]
 
     @property
     def is_deterministic(self) -> bool:
@@ -87,7 +84,6 @@ class SolverConfig:
     seed: int
     model: ModelSpec
     integrator: str = "rk4"  # "rk4" | "euler"
-    resample_per_stage: bool = False
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -110,7 +106,6 @@ class _Context:
     def __init__(self, model: ModelSpec):
         self.model = model
         basis = model.basis
-        self.n_modes = basis.n_modes
         self.table = basis.basis_table          # (m, Q)
         self.proj = basis.projection_matrix()   # (Q, m)
         align = model.alignment
@@ -119,37 +114,10 @@ class _Context:
             self.k_nodes = np.atleast_1d(align.K(model.alignment_nodes))
             self.g_nodes = np.atleast_1d(align.gamma(model.alignment_nodes))
         if self.homogeneous:
-            if align.K.is_constant:
-                # Exact orthogonality: a constant kernel never mixes modes.
-                self.e_const = align.K.c0 * np.eye(self.n_modes)
-            else:
-                weighted = basis.quad_weights * self.k_nodes
-                self.e_const = (self.table * weighted) @ self.table.T / basis.sq_norms[:, None]
+            self.e_const = basis.coupling_matrix(align.K.c0 if align.K.is_constant else self.k_nodes)
         if model.morse is not None:
             self.ca_nodes = np.atleast_1d(model.morse.C_A(model.morse_nodes))
             self.cr_nodes = np.atleast_1d(model.morse.C_R(model.morse_nodes))
-
-    def deterministic_view(self) -> "_Context":
-        """Single-pseudo-node view: evaluates mode 0 and projects back to
-        mode 0 exactly, valid when model and state are theta-independent."""
-        view = object.__new__(_Context)
-        view.model = self.model
-        view.n_modes = self.n_modes
-        table = np.zeros((self.n_modes, 1))
-        table[0, 0] = 1.0
-        view.table = table
-        view.proj = table.T.copy()
-        view.homogeneous = self.homogeneous
-        align = self.model.alignment
-        if align is not None:
-            view.k_nodes = np.array([align.K.c0])
-            view.g_nodes = np.array([align.gamma.c0])
-        if self.homogeneous:
-            view.e_const = self.e_const
-        if self.model.morse is not None:
-            view.ca_nodes = np.array([self.model.morse.C_A.c0])
-            view.cr_nodes = np.array([self.model.morse.C_R.c0])
-        return view
 
 
 def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | None:
@@ -230,8 +198,6 @@ def _forces_for_rows(rows, x_nodes, v_nodes, sub, ctx) -> np.ndarray:
         rate_nodes = rate_nodes + np.einsum("rsq,rsdq->rdq", coef, diff) / denom
         speed_sq = np.einsum("rdq,rdq->rq", v_nodes[rows], v_nodes[rows])
         rate_nodes = rate_nodes + (morse.a - morse.b * speed_sq[:, None, :]) * v_nodes[rows]
-    if isinstance(rate_nodes, float):  # alignment handled elsewhere, no morse
-        return np.zeros((len(rows), x_nodes.shape[1], ctx.n_modes))
     return rate_nodes @ ctx.proj
 
 
@@ -258,59 +224,27 @@ def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
     return dv
 
 
-def _state_is_modal_zero(x_hat, v_hat) -> bool:
-    return not (x_hat[:, :, 1:].any() or v_hat[:, :, 1:].any())
-
-
-def interaction_coeffs(ens: GpcEnsemble, i: int, j: int, params: CuckerSmaleParams, basis) -> np.ndarray:
-    """Modal interaction matrix e[h, k] between particles i and j.
-
-    e[h, k] = sum_q w_q H(theta_q; |x_i - x_j|) P_k(q) P_h(q) / ||P_h||^2,
-    with the states reconstructed at each node.
-    """
-    xi = ens.x_hat[i] @ basis.basis_table
-    xj = ens.x_hat[j] @ basis.basis_table
-    r_sq = np.sum((xi - xj) ** 2, axis=0)
-    nodes = basis.nodes1 if isinstance(basis, TensorBasis2D) else basis.quad_nodes
-    h_vals = alignment_kernel(params.K(nodes), params.gamma(nodes), r_sq)
-    weighted = basis.quad_weights * h_vals
-    return (basis.basis_table * weighted) @ basis.basis_table.T / basis.sq_norms[:, None]
-
-
-def velocity_rate(ens: GpcEnsemble, i: int, subsample, model: ModelSpec) -> np.ndarray:
-    """Velocity coefficient rate (d, n_modes) of particle i for a given
-    partner subsample; the position rate is the velocity coefficients."""
-    subsample = np.asarray(subsample, dtype=np.int64)
-    ctx = _Context(model)
-    x_nodes, v_nodes = evaluate_at_nodes(ens, model.basis)
-    sub = np.tile(subsample, (ens.n_particles, 1))
-    out = _forces_for_rows(np.array([i]), x_nodes, v_nodes, sub, ctx)[0]
-    if model.alignment is not None and ctx.homogeneous:
-        target = ens.v_hat[subsample].mean(axis=0)
-        out = out + (target - ens.v_hat[i]) @ ctx.e_const.T
-    return out
-
-
 def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: float | None = None) -> GpcEnsemble:
     """Advance one time step; the per-particle subsamples are drawn once
-    and frozen across stages unless ``resample_per_stage`` is set."""
+    and frozen across stages."""
     dt = cfg.dt if dt is None else dt
-    ctx = _Context(cfg.model)
-    if cfg.model.is_deterministic and _state_is_modal_zero(ens.x_hat, ens.v_hat):
-        ctx = ctx.deterministic_view()
+    model = cfg.model
+    x0, v0 = ens.x_hat, ens.v_hat
+    deterministic = model.is_deterministic and not (x0[:, :, 1:].any() or v0[:, :, 1:].any())
+    if deterministic:
+        # A theta-independent model acting on a theta-independent state
+        # moves mode 0 only: integrate it on the one-node order-0 rule and
+        # keep the higher modes at exact zero.
+        model = replace(model, basis=build_basis(PolynomialFamily.LEGENDRE, 0, 1))
+        x0, v0 = x0[:, :, :1], v0[:, :, :1]
+    ctx = _Context(model)
     n = ens.n_particles
-
-    def draw():
-        sub = draw_subsamples(rng, n, cfg.subsample_size)
-        mean = None if sub is None else _subsample_mean_matrix(sub, n)
-        return sub, mean
-
-    sub, sub_mean = draw()
+    sub = draw_subsamples(rng, n, cfg.subsample_size)
+    sub_mean = None if sub is None else _subsample_mean_matrix(sub, n)
 
     def rhs(x_hat, v_hat):
         return v_hat, _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx)
 
-    x0, v0 = ens.x_hat, ens.v_hat
     # overflow in a diverging run is reported via the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.integrator == "euler":
@@ -319,17 +253,14 @@ def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: floa
             v_new = v0 + dt * kv
         else:
             kx1, kv1 = rhs(x0, v0)
-            if cfg.resample_per_stage:
-                sub, sub_mean = draw()
             kx2, kv2 = rhs(x0 + 0.5 * dt * kx1, v0 + 0.5 * dt * kv1)
-            if cfg.resample_per_stage:
-                sub, sub_mean = draw()
             kx3, kv3 = rhs(x0 + 0.5 * dt * kx2, v0 + 0.5 * dt * kv2)
-            if cfg.resample_per_stage:
-                sub, sub_mean = draw()
             kx4, kv4 = rhs(x0 + dt * kx3, v0 + dt * kv3)
             x_new = x0 + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
             v_new = v0 + (dt / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+    if deterministic:
+        pad = ((0, 0), (0, 0), (0, ens.n_modes - 1))
+        x_new, v_new = np.pad(x_new, pad), np.pad(v_new, pad)
     out = GpcEnsemble(x_new, v_new, time=ens.time + dt)
     if not out.is_finite():
         bad = np.flatnonzero(
@@ -370,11 +301,7 @@ def run(
         records.append((e.time, [obs(e) for obs in observers]))
 
     observe(ens)
-    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12)) if cfg.t_end > 0 else 0
-    remainder = cfg.t_end - n_full * cfg.dt
-    dts = [cfg.dt] * n_full
-    if remainder > 1e-12 * max(1.0, cfg.dt):
-        dts.append(remainder)
+    dts = time_steps(cfg.t_end, cfg.dt)
     for k, dt in enumerate(dts):
         ens = step(ens, cfg, _step_rng(cfg.seed, k), dt=dt)
         if (k + 1) % observer_stride == 0 or k + 1 == len(dts):

@@ -43,6 +43,11 @@ def direct_rhs(x, v, theta, k_fun=None, gamma_fun=None, morse=None):
     return v.copy(), dv
 
 
+def morse_potential(c_a, c_r, ell_a, ell_r, r):
+    """Morse pair potential -C_A exp(-r/l_A) + C_R exp(-r/l_R) at distance r."""
+    return -c_a * np.exp(-r / ell_a) + c_r * np.exp(-r / ell_r)
+
+
 def direct_rk4(x0, v0, theta, dt, n_steps, **model):
     """Classical RK4 on the N-body system at fixed theta."""
     x, v = x0.copy(), v0.copy()

@@ -30,7 +30,7 @@ from swarmuq.ensemble import (
     evaluate_at_theta,
     sample_initial,
 )
-from swarmuq.gpc import PolynomialFamily, TensorBasis2D, build_basis
+from swarmuq.gpc import PolynomialFamily, build_basis, tensor_basis
 from swarmuq.models import CuckerSmaleParams, MorseSwarmParams
 from swarmuq.solver import ModelSpec, SolverConfig, run, step
 
@@ -249,7 +249,8 @@ def test_c09_mill_regime():
 def test_c10_tensor_uncertainty_consistency():
     order, n, t_end = 4, 100, 1.0
     b1 = build_basis(PolynomialFamily.LEGENDRE, order)
-    tensor = TensorBasis2D(b1, build_basis(PolynomialFamily.LEGENDRE, order))
+    b2 = build_basis(PolynomialFamily.LEGENDRE, order)
+    tensor = tensor_basis(b1, b2)
     morse = MorseSwarmParams(a=0.7, b=0.5, C_A=30.0, C_R=10.0, ell_A=100.0, ell_R=3.0)
     align = CuckerSmaleParams(K="5.0", gamma="0.1+0.05*theta")
     ic = InitialCondition.annulus_rotating_2d()
@@ -259,7 +260,7 @@ def test_c10_tensor_uncertainty_consistency():
                         model=ModelSpec(basis=b1, alignment=align, morse=morse))
     _, fin2 = run(ic, cfg2)
     _, fin1 = run(ic, cfg1)
-    m2 = tensor.basis2.n_modes
+    m2 = b2.n_modes
     v2 = fin2.v_hat.reshape(n, 2, b1.n_modes, m2)
     x2 = fin2.x_hat.reshape(n, 2, b1.n_modes, m2)
     spurious = max(np.abs(v2[:, :, :, 1:]).max(), np.abs(x2[:, :, :, 1:]).max())

@@ -1,3 +1,5 @@
+import configparser
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ def _write(tmp_path, text, name="config.cfg", **fmt):
     return path
 
 
-def test_all_presets_parse_and_build():
+def test_all_presets_parse_and_build(tmp_path):
     names = available_presets()
     assert {"homogeneous", "cs_1d", "cs_1d_desk", "cs_2d", "cs_2d_desk",
             "mill_2d", "mill_2d_desk", "combined_2d", "combined_2d_desk"} <= set(names)
@@ -72,6 +74,13 @@ def test_all_presets_parse_and_build():
         cfg = load_config(name)
         ic, solver_cfg = build_experiment(cfg)
         assert solver_cfg.subsample_size <= solver_cfg.n_particles
+        # written back with the keys' case kept (N, C_A), as the benchmark does
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        parser.optionxform = str
+        parser.read(preset_path(name))
+        with open(tmp_path / f"{name}.cfg", "w") as fh:
+            parser.write(fh)
+        assert load_config(tmp_path / f"{name}.cfg").model_params == cfg.model_params
 
 
 def test_preset_path_unknown_name():
@@ -119,6 +128,37 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     garbled = MINI_CONFIG.replace("gamma = 0.1 + 0.05*theta", "gamma = sqrt(theta)")
     cfg_path3 = _write(tmp_path, garbled, name="garbled.cfg", out=str(out))
     assert cmd_run(str(cfg_path3)) == 2
+    assert not out.exists()
+    # bad [output] values
+    for bad_output in ("stride = 0", "stride = 5\ngrid_bins = 0",
+                       "stride = 5\ngrid_min = 2\ngrid_max = -2"):
+        text = MINI_CONFIG.replace("stride = 5", bad_output)
+        cfg_path4 = _write(tmp_path, text, name="output.cfg", out=str(out))
+        assert cmd_run(str(cfg_path4)) == 2, bad_output
+        assert not out.exists()
+
+
+def test_misspelled_model_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "never"
+    typo = MINI_CONFIG.replace("gamma = 0.1", "gama = 0.1")
+    assert cmd_run(str(_write(tmp_path, typo, out=str(out)))) == 2
+    assert "gama" in capsys.readouterr().err
+    # a Morse key is valid elsewhere but not read by an alignment experiment
+    unread = MINI_CONFIG.replace("K = 1.0", "K = 1.0\nC_A = 30")
+    assert cmd_run(str(_write(tmp_path, unread, name="unread.cfg", out=str(out)))) == 2
+    assert "c_a" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelled_experiment_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "never"
+    typo = MINI_CONFIG.replace("seed = 7", "seed = 7\nintegrater = euler")
+    assert cmd_run(str(_write(tmp_path, typo, out=str(out)))) == 2
+    assert "integrater" in capsys.readouterr().err
+    # a misspelled section is as silent as a misspelled key
+    section = MINI_CONFIG.replace("[output]", "[ouput]")
+    assert cmd_run(str(_write(tmp_path, section, name="section.cfg", out=str(out)))) == 2
+    assert "ouput" in capsys.readouterr().err
     assert not out.exists()
 
 

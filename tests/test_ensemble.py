@@ -12,7 +12,7 @@ from swarmuq.ensemble import (
     save_snapshot,
 )
 from swarmuq.errors import ConfigurationError, DimensionMismatchError
-from swarmuq.gpc import PolynomialFamily, TensorBasis2D, build_basis, project
+from swarmuq.gpc import PolynomialFamily, build_basis, project, tensor_basis
 
 from oracles import bimodal_moments
 
@@ -117,8 +117,8 @@ def test_node_evaluation_projection_roundtrip():
     assert np.abs(project(x_nodes, basis) - ens.x_hat).max() < 1e-10
     assert np.abs(project(v_nodes, basis) - ens.v_hat).max() < 1e-10
     # same round trip through a tensor basis
-    tb = TensorBasis2D(build_basis(PolynomialFamily.LEGENDRE, 2),
-                       build_basis(PolynomialFamily.LEGENDRE, 3))
+    tb = tensor_basis(build_basis(PolynomialFamily.LEGENDRE, 2),
+                      build_basis(PolynomialFamily.LEGENDRE, 3))
     ens2 = GpcEnsemble(rng.normal(size=(7, 2, tb.n_modes)), rng.normal(size=(7, 2, tb.n_modes)))
     x2, v2 = evaluate_at_nodes(ens2, tb)
     assert np.abs(project(x2, tb) - ens2.x_hat).max() < 1e-10
@@ -143,6 +143,15 @@ def test_snapshot_roundtrip(tmp_path):
     assert back.time == 1.25
     assert meta["N"] == "6" and meta["d"] == "2" and meta["M"] == "3"
     assert meta["family"] == "legendre" and meta["seed"] == "99"
+    # a basis over two random inputs lists the order and family of each
+    tb = tensor_basis(build_basis(PolynomialFamily.LEGENDRE, 3),
+                      build_basis(PolynomialFamily.LEGENDRE, 2))
+    ens2 = GpcEnsemble(rng.normal(size=(5, 2, tb.n_modes)), rng.normal(size=(5, 2, tb.n_modes)))
+    path2 = tmp_path / "snap2.csv"
+    save_snapshot(ens2, path2, basis=tb, seed=7)
+    back2, meta2 = load_snapshot(path2)
+    assert np.array_equal(back2.v_hat, ens2.v_hat)
+    assert meta2["M"] == "3|2" and meta2["family"] == "legendre|legendre"
 
 
 def test_ensemble_shape_validation():

@@ -4,11 +4,11 @@ import pytest
 from swarmuq.errors import ConfigurationError, DimensionMismatchError, QuadratureInsufficiencyError
 from swarmuq.gpc import (
     PolynomialFamily,
-    TensorBasis2D,
     build_basis,
     expectation_and_variance,
     project,
     reconstruct_at,
+    tensor_basis,
 )
 
 from oracles import gaussian_expectation, uniform_expectation
@@ -163,33 +163,37 @@ def test_basis_is_immutable():
 
 
 def test_tensor_basis_layout_and_orthogonality():
-    tb = TensorBasis2D(
-        build_basis(PolynomialFamily.LEGENDRE, 3),
-        build_basis(PolynomialFamily.LEGENDRE, 2),
-    )
+    b1 = build_basis(PolynomialFamily.LEGENDRE, 3)
+    b2 = build_basis(PolynomialFamily.LEGENDRE, 2)
+    tb = tensor_basis(b1, b2)
     assert tb.n_modes == 4 * 3
-    assert tb.n_nodes == tb.basis1.n_nodes * tb.basis2.n_nodes
+    assert tb.n_nodes == b1.n_nodes * b2.n_nodes
+    assert tb.nodes.shape == (2, tb.n_nodes)
+    assert tb.orders == (3, 2)
     assert abs(tb.quad_weights.sum() - 1.0) < 1e-12
     gram = (tb.basis_table * tb.quad_weights) @ tb.basis_table.T
     assert np.abs(gram - np.diag(tb.sq_norms)).max() < 1e-10
-    # mode_index addresses the kron layout
+    # joint mode (k, h) sits at k * m2 + h, with node q at (nodes[0][q], nodes[1][q])
     k, h = 2, 1
-    flat = tb.mode_index(k, h)
+    flat = k * b2.n_modes + h
     vals = tb.eval_basis((0.37, -0.52))
-    expected = tb.basis1.eval_basis(0.37)[k] * tb.basis2.eval_basis(-0.52)[h]
+    expected = b1.eval_basis(0.37)[k] * b2.eval_basis(-0.52)[h]
     assert abs(vals[flat] - expected) < 1e-14
+    assert np.array_equal(tb.basis_table[:, 7], tb.eval_basis(tb.nodes[:, 7]))
+    with pytest.raises(ValueError):
+        tb.nodes[0, 0] = 7.0
 
 
 def test_tensor_projection_separable_function():
-    tb = TensorBasis2D(
+    tb = tensor_basis(
         build_basis(PolynomialFamily.LEGENDRE, 2),
         build_basis(PolynomialFamily.LEGENDRE, 2),
     )
     # f(t1, t2) = t1 * t2^2 = P1(t1) * (1/3 + 2/3 P2(t2))
-    samples = tb.nodes1 * tb.nodes2**2
+    samples = tb.nodes[0] * tb.nodes[1] ** 2
     coeffs = project(samples, tb)
     expected = np.zeros(tb.n_modes)
-    expected[tb.mode_index(1, 0)] = 1.0 / 3.0
-    expected[tb.mode_index(1, 2)] = 2.0 / 3.0
+    expected[1 * 3 + 0] = 1.0 / 3.0
+    expected[1 * 3 + 2] = 2.0 / 3.0
     assert np.abs(coeffs - expected).max() < 1e-13
     assert abs(reconstruct_at(coeffs, (0.5, -0.25), tb) - 0.5 * 0.0625) < 1e-13

@@ -8,14 +8,23 @@ from swarmuq.models import (
     FlockingRegime,
     MorseSwarmParams,
     UncertainScalar,
-    cs_kernel,
+    alignment_kernel,
     flocking_criterion,
     linearized_flocking_check,
     mill_regime,
-    morse_force,
-    morse_potential,
-    self_propulsion,
 )
+from swarmuq.solver import ModelSpec, _Context, _velocity_rate_full
+
+from oracles import morse_potential
+
+
+def _morse_rate(params, x, v=None):
+    """Velocity rate of every particle under the Morse model with all pairs
+    interacting, through the solver's force path on a deterministic basis."""
+    x_hat = np.asarray(x, dtype=float)[:, :, None]
+    v_hat = np.zeros_like(x_hat) if v is None else np.asarray(v, dtype=float)[:, :, None]
+    spec = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 0, 1), morse=params)
+    return _velocity_rate_full(x_hat, v_hat, None, None, _Context(spec))[:, :, 0]
 
 
 def test_uncertain_scalar_parsing():
@@ -54,13 +63,12 @@ def test_uncertain_scalar_evaluation():
 
 
 def test_cs_kernel_examples():
-    flat = CuckerSmaleParams(K=1.0, gamma=0.0)
     for r_sq in (0.0, 1.0, 1e6):
-        assert cs_kernel(flat, 0.3, r_sq) == 1.0
+        assert alignment_kernel(1.0, 0.0, r_sq) == 1.0
     params = CuckerSmaleParams(K=1.0, gamma="0.1+0.05*theta")
     # high-precision direct evaluation
-    assert abs(cs_kernel(params, 0.0, 1.0) - 2.0 ** (-0.1)) < 1e-12
-    big = cs_kernel(CuckerSmaleParams(K=1.0, gamma=0.5), 0.0, 1e12)
+    assert abs(alignment_kernel(params.K(0.0), params.gamma(0.0), 1.0) - 2.0 ** (-0.1)) < 1e-12
+    big = alignment_kernel(1.0, 0.5, 1e12)
     assert 0.0 < big < 1e-5
 
 
@@ -69,7 +77,7 @@ def test_cs_kernel_positive_and_monotone():
     basis = build_basis(PolynomialFamily.LEGENDRE, 5)
     radii_sq = np.linspace(0.0, 50.0, 100)
     for theta in basis.quad_nodes:
-        vals = cs_kernel(params, theta, radii_sq)
+        vals = alignment_kernel(params.K(theta), params.gamma(theta), radii_sq)
         assert (vals > 0).all()
         assert (np.diff(vals) <= 0).all()
 
@@ -85,49 +93,52 @@ def test_cs_params_validation():
 
 
 def test_morse_potential_values():
-    same = UncertainScalar.constant(2.0)
-    params = MorseSwarmParams(a=0.0, b=0.0, C_A=same, C_R=same, ell_A=1.5, ell_R=1.5)
+    # the reference potential that the force test below differentiates
     for r in (0.0, 0.7, 12.0):
-        assert morse_potential(params, 0.4, r) == 0.0
-    fig = MorseSwarmParams(a=0.0, b=0.0, C_A="30+theta", C_R="10+theta", ell_A=100.0, ell_R=3.0)
-    assert abs(morse_potential(fig, 0.0, 0.0) - (-20.0)) < 1e-12
+        assert morse_potential(2.0, 2.0, 1.5, 1.5, r) == 0.0
+    assert abs(morse_potential(30.0, 10.0, 100.0, 3.0, 0.0) - (-20.0)) < 1e-12
     expected = -30.0 * np.exp(-0.03) + 10.0 * np.exp(-1.0)
-    assert abs(morse_potential(fig, 0.0, 3.0) - expected) < 1e-12
+    assert abs(morse_potential(30.0, 10.0, 100.0, 3.0, 3.0) - expected) < 1e-12
 
 
 def test_morse_force_zero_at_origin_and_radial():
     params = MorseSwarmParams(a=0.0, b=0.0, C_A=30.0, C_R=10.0, ell_A=100.0, ell_R=3.0)
-    assert np.array_equal(morse_force(params, 0.0, np.zeros(3)), np.zeros(3))
+    assert np.array_equal(_morse_rate(params, np.zeros((2, 3))), np.zeros((2, 3)))
     rng = np.random.default_rng(8)
     for _ in range(20):
         dx = rng.normal(size=2)
-        f = morse_force(params, 0.0, dx)
+        f = _morse_rate(params, [dx, np.zeros(2)])[0]
         cross = f[0] * dx[1] - f[1] * dx[0]
         assert abs(cross) < 1e-12 * max(1.0, np.linalg.norm(f) * np.linalg.norm(dx))
 
 
 def test_morse_force_matches_finite_difference_gradient():
-    params = MorseSwarmParams(a=0.0, b=0.0, C_A="30+theta", C_R="10+theta", ell_A=100.0, ell_R=3.0)
+    # two particles, all pairs: the rate of the first is -grad U / N
     rng = np.random.default_rng(11)
     eps = 1e-6
     for _ in range(100):
         theta = rng.uniform(-1, 1)
+        c_a, c_r = 30.0 + theta, 10.0 + theta
+        params = MorseSwarmParams(a=0.0, b=0.0, C_A=c_a, C_R=c_r, ell_A=100.0, ell_R=3.0)
         dx = rng.normal(size=2) * rng.uniform(0.5, 5.0)
         grad = np.zeros(2)
         for k in range(2):
             plus = dx.copy(); plus[k] += eps
             minus = dx.copy(); minus[k] -= eps
-            grad[k] = (morse_potential(params, theta, np.linalg.norm(plus))
-                       - morse_potential(params, theta, np.linalg.norm(minus))) / (2 * eps)
-        assert np.linalg.norm(morse_force(params, theta, dx) + grad) < 1e-6
+            grad[k] = (morse_potential(c_a, c_r, 100.0, 3.0, np.linalg.norm(plus))
+                       - morse_potential(c_a, c_r, 100.0, 3.0, np.linalg.norm(minus))) / (2 * eps)
+        force = 2 * _morse_rate(params, [dx, np.zeros(2)])[0]
+        assert np.linalg.norm(force + grad) < 1e-6
 
 
 def test_self_propulsion():
+    # a single particle feels only the propulsion-friction term (a - b |v|^2) v
     params = MorseSwarmParams(a=1.0, b=0.5, C_A=1.0, C_R=1.0, ell_A=1.0, ell_R=1.0)
     eq_speed = np.sqrt(params.a / params.b)
-    assert np.allclose(self_propulsion(params, np.array([eq_speed, 0.0])), 0.0, atol=1e-14)
-    assert np.array_equal(self_propulsion(params, np.zeros(2)), np.zeros(2))
-    assert np.allclose(self_propulsion(params, np.array([2.0, 0.0])), [-2.0, 0.0])
+    x = np.zeros((1, 2))
+    assert np.allclose(_morse_rate(params, x, [[eq_speed, 0.0]]), 0.0, atol=1e-14)
+    assert np.array_equal(_morse_rate(params, x, np.zeros((1, 2))), np.zeros((1, 2)))
+    assert np.allclose(_morse_rate(params, x, [[2.0, 0.0]]), [[-2.0, 0.0]])
 
 
 def test_morse_params_validation():

@@ -6,16 +6,17 @@ from scipy import stats
 
 from swarmuq.ensemble import GpcEnsemble, InitialCondition, evaluate_at_nodes, sample_initial
 from swarmuq.errors import ConfigurationError, IntegrationBlowupError
-from swarmuq.gpc import PolynomialFamily, TensorBasis2D, build_basis
-from swarmuq.models import CuckerSmaleParams, MorseSwarmParams
+from swarmuq.gpc import PolynomialFamily, build_basis, tensor_basis
+from swarmuq.models import CuckerSmaleParams, MorseSwarmParams, alignment_kernel
 from swarmuq.solver import (
     ModelSpec,
     SolverConfig,
+    _Context,
+    _subsample_mean_matrix,
+    _velocity_rate_full,
     draw_subsamples,
-    interaction_coeffs,
     run,
     step,
-    velocity_rate,
 )
 
 from oracles import direct_rk4
@@ -26,11 +27,28 @@ def _cs_spec(order=5, K="1.0", gamma="0.1+0.05*theta", quad=None):
     return ModelSpec(basis=basis, alignment=CuckerSmaleParams(K=K, gamma=gamma))
 
 
+def _interaction_coeffs(ens, i, j, params, basis):
+    """Modal interaction matrix e[h, k] between particles i and j:
+    the coupling matrix of the alignment kernel at their node distances."""
+    nodes = basis.nodes[0]
+    xi, xj = ens.x_hat[i] @ basis.basis_table, ens.x_hat[j] @ basis.basis_table
+    r_sq = np.sum((xi - xj) ** 2, axis=0)
+    return basis.coupling_matrix(alignment_kernel(params.K(nodes), params.gamma(nodes), r_sq))
+
+
+def _rate(ens, partners, spec):
+    """Modal velocity rate of every particle when each interacts with the
+    same partners."""
+    sub = np.tile(np.asarray(partners), (ens.n_particles, 1))
+    return _velocity_rate_full(ens.x_hat, ens.v_hat, sub,
+                               _subsample_mean_matrix(sub, ens.n_particles), _Context(spec))
+
+
 def test_interaction_coeffs_constant_kernel_is_identity():
     spec = _cs_spec(order=3, K="2.5", gamma="0.0")
     rng = np.random.default_rng(0)
     ens = GpcEnsemble(rng.normal(size=(2, 1, 4)), np.zeros((2, 1, 4)))
-    e = interaction_coeffs(ens, 0, 1, spec.alignment, spec.basis)
+    e = _interaction_coeffs(ens, 0, 1, spec.alignment, spec.basis)
     assert np.abs(e - 2.5 * np.eye(4)).max() < 1e-12
 
 
@@ -40,7 +58,7 @@ def test_interaction_coeffs_affine_strength():
     basis = build_basis(PolynomialFamily.LEGENDRE, 1)
     ens = GpcEnsemble(np.zeros((2, 1, 2)), np.zeros((2, 1, 2)))
     params = CuckerSmaleParams(K="1+theta", gamma="0.7")
-    e = interaction_coeffs(ens, 0, 1, params, basis)
+    e = _interaction_coeffs(ens, 0, 1, params, basis)
     assert np.abs(e - np.array([[1.0, 1.0 / 3.0], [1.0, 1.0]])).max() < 1e-12
 
 
@@ -50,7 +68,7 @@ def test_interaction_coeffs_deterministic_state_diagonal():
     x_hat[0, 0, 0] = 0.0
     x_hat[1, 0, 0] = 2.0
     ens = GpcEnsemble(x_hat, np.zeros((2, 1, 5)))
-    e = interaction_coeffs(ens, 0, 1, spec.alignment, spec.basis)
+    e = _interaction_coeffs(ens, 0, 1, spec.alignment, spec.basis)
     expected = 1.5 / (1.0 + 4.0) ** 0.3
     assert np.abs(e - expected * np.eye(5)).max() < 1e-10
 
@@ -63,11 +81,11 @@ def test_velocity_rate_examples():
     ens = GpcEnsemble(x, v)
     # identical velocities: zero rate
     same = GpcEnsemble(x.copy(), np.tile(v[0], (3, 1, 1)))
-    assert np.abs(velocity_rate(same, 0, [1, 2], spec)).max() < 1e-14
+    assert np.abs(_rate(same, [1, 2], spec)[0]).max() < 1e-14
     # subsample of just the particle itself: zero rate
-    assert np.abs(velocity_rate(ens, 1, [1], spec)).max() < 1e-14
+    assert np.abs(_rate(ens, [1], spec)[1]).max() < 1e-14
     # two-particle hand value: rate = K0 (v_j - v_i)
-    rate = velocity_rate(ens, 0, [1], spec)
+    rate = _rate(ens, [1], spec)[0]
     assert abs(rate[0, 0] - 2.0 * (3.0 - 1.0)) < 1e-12
     assert np.abs(rate[:, 1:]).max() < 1e-14
 
@@ -180,17 +198,25 @@ def test_deterministic_model_keeps_higher_modes_exactly_zero():
 
 def test_deterministic_shortcut_matches_generic_path():
     # same model run through the single-node shortcut (exact-zero modes)
-    # and the generic quadrature path (seeded nonzero high modes)
-    spec = _cs_spec(order=4, K="1.0", gamma="0.3")
+    # and the generic quadrature path (seeded nonzero high modes), for an
+    # alignment and a mill (Morse) model
+    mill = MorseSwarmParams(a=0.7, b=0.5, C_A=30.0, C_R=10.0, ell_A=100.0, ell_R=3.0)
+    cases = (
+        (_cs_spec(order=4, K="1.0", gamma="0.3"), InitialCondition.bivariate_bimodal_1d()),
+        (ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 4), morse=mill),
+         InitialCondition.annulus_rotating_2d()),
+    )
     n = 30
-    ens = sample_initial(InitialCondition.bivariate_bimodal_1d(), n, 9, spec.basis.n_modes)
-    perturbed = ens.copy()
-    perturbed.x_hat[:, :, 1] += 1e-300  # flips the path selector only
-    cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=5, seed=4, model=spec)
-    a = step(ens, cfg, np.random.default_rng(0))
-    b = step(perturbed, cfg, np.random.default_rng(0))
-    assert np.abs(a.v_hat - b.v_hat).max() < 1e-12
-    assert np.abs(a.x_hat - b.x_hat).max() < 1e-12
+    for spec, ic in cases:
+        ens = sample_initial(ic, n, 9, spec.basis.n_modes)
+        perturbed = ens.copy()
+        perturbed.x_hat[:, :, 1] += 1e-300  # flips the path selector only
+        cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=5, seed=4, model=spec)
+        a = step(ens, cfg, np.random.default_rng(0))
+        b = step(perturbed, cfg, np.random.default_rng(0))
+        assert not a.x_hat[:, :, 1:].any() and not a.v_hat[:, :, 1:].any()
+        assert np.abs(a.v_hat - b.v_hat).max() < 1e-12
+        assert np.abs(a.x_hat - b.x_hat).max() < 1e-12
 
 
 def test_homogeneous_fast_path_matches_generic_kernel_path():
@@ -261,20 +287,20 @@ def test_combined_model_direct_integration_match():
 
 
 def test_tensor_uncertainty_reduces_to_1d_when_second_input_trivial():
-    tb = TensorBasis2D(build_basis(PolynomialFamily.LEGENDRE, 3),
-                       build_basis(PolynomialFamily.LEGENDRE, 3))
+    b1 = build_basis(PolynomialFamily.LEGENDRE, 3)
+    b2 = build_basis(PolynomialFamily.LEGENDRE, 3)
+    tb = tensor_basis(b1, b2)
     morse_c = MorseSwarmParams(a=0.07, b=0.05, C_A=30.0, C_R=10.0, ell_A=100.0, ell_R=3.0)
     align = CuckerSmaleParams(K="5.0", gamma="0.1+0.05*theta")
     spec2 = ModelSpec(basis=tb, alignment=align, morse=morse_c)
-    spec1 = ModelSpec(basis=tb.basis1, alignment=align, morse=morse_c)
+    spec1 = ModelSpec(basis=b1, alignment=align, morse=morse_c)
     n = 30
     ic = InitialCondition.annulus_rotating_2d()
     cfg2 = SolverConfig(n_particles=n, dt=0.01, t_end=0.3, subsample_size=n, seed=31, model=spec2)
     cfg1 = SolverConfig(n_particles=n, dt=0.01, t_end=0.3, subsample_size=n, seed=31, model=spec1)
     _, fin2 = run(ic, cfg2)
     _, fin1 = run(ic, cfg1)
-    m2 = tb.basis2.n_modes
-    v2 = fin2.v_hat.reshape(n, 2, tb.basis1.n_modes, m2)
+    v2 = fin2.v_hat.reshape(n, 2, b1.n_modes, b2.n_modes)
     assert np.abs(v2[:, :, :, 1:]).max() < 1e-12
     assert np.abs(v2[:, :, :, 0] - fin1.v_hat).max() < 1e-10
 
@@ -304,14 +330,6 @@ def test_euler_integrator_option():
     out = step(GpcEnsemble(x, v), cfg, np.random.default_rng(0))
     w1 = out.v_hat[1, 0, 0] - out.v_hat[0, 0, 0]
     assert abs(w1 - (1.0 - k0 * dt)) < 1e-14
-
-
-def test_per_stage_resampling_option_runs():
-    spec = _cs_spec()
-    cfg = SolverConfig(n_particles=30, dt=0.01, t_end=0.2, subsample_size=5, seed=1, model=spec,
-                       resample_per_stage=True)
-    _, fin = run(InitialCondition.bivariate_bimodal_1d(), cfg)
-    assert fin.is_finite()
 
 
 def test_blowup_raises_with_particle_info():
