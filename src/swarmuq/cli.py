@@ -16,6 +16,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,41 +35,28 @@ from .diagnostics import (
     write_stats_csv,
     write_velocity_field_csv,
 )
-from .ensemble import InitialCondition, save_snapshot
+from .ensemble import ICKind, InitialCondition, save_snapshot
 from .errors import ConfigurationError, IntegrationBlowupError, SchemeFailureError
 from .gpc import PolynomialFamily, build_basis, tensor_basis
-from .models import CuckerSmaleParams, MorseSwarmParams, UncertainScalar
+from .models import CuckerSmaleParams, MorseSwarmParams
 from .pde_oracle import VelocityGrid, bimodal_density, oracle_expected_temperature, sg_homogeneous_solve
 from .solver import ModelSpec, SolverConfig, run
 
-EXPERIMENTS = ("homogeneous", "cs_1d", "cs_2d", "mill_2d", "combined_2d")
-
-_DEFAULT_IC_KIND = {
-    "homogeneous": "bimodal_velocity_1d",
-    "cs_1d": "bivariate_bimodal_1d",
-    "cs_2d": "annulus_rotating_2d",
-    "mill_2d": "annulus_rotating_2d",
-    "combined_2d": "annulus_rotating_2d",
-}
-
-_ALIGNMENT_DEFAULTS = {"k": "1.0", "gamma": "0.1 + 0.05*theta"}
-_MORSE_DEFAULTS = {"a": "0.07", "b": "0.05", "c_a": "30 + theta", "c_r": "10 + theta",
-                   "ell_a": "100.0", "ell_r": "3.0"}
-# The [model] keys each experiment reads, with their defaults.
-_MODEL_DEFAULTS = {
-    "homogeneous": {"k": "1.0", "gamma": "0"},
-    "cs_1d": _ALIGNMENT_DEFAULTS,
-    "cs_2d": _ALIGNMENT_DEFAULTS,
-    "mill_2d": _MORSE_DEFAULTS,
-    "combined_2d": {**_ALIGNMENT_DEFAULTS, "k": "5.0", **_MORSE_DEFAULTS},
-}
-# The keys of the other sections.  Keys are lowercase because configparser
-# lowercases them on reading.
-_SECTION_KEYS = {
-    "experiment": ("kind", "n", "s", "m", "q", "dt", "t_end", "seed", "family", "integrator"),
-    "output": ("dir", "stride", "grid_min", "grid_max", "grid_bins", "pgm"),
-    "converge": ("reference", "reference_order"),
-    "oracle": ("points", "v_min", "v_max"),
+# Each experiment kind: its default initial condition and the [model] keys
+# it reads, with their defaults.  A default's type is the key's type: a
+# string is an uncertain scalar in theta, a float a plain number.  A force
+# acts when the experiment reads its parameters (alignment: k, gamma;
+# Morse: a, b, c_a, c_r, ell_a, ell_r); with both, each rides its own
+# random input.  The experiment's dimension is that of its initial condition.
+_ALIGNMENT = {"k": "1.0", "gamma": "0.1 + 0.05*theta"}
+_MORSE = {"a": 0.07, "b": 0.05, "c_a": "30 + theta", "c_r": "10 + theta",
+          "ell_a": 100.0, "ell_r": 3.0}
+EXPERIMENTS = {
+    "homogeneous": ("bimodal_velocity_1d", {"k": "1.0", "gamma": "0"}),
+    "cs_1d": ("bivariate_bimodal_1d", _ALIGNMENT),
+    "cs_2d": ("annulus_rotating_2d", _ALIGNMENT),
+    "mill_2d": ("annulus_rotating_2d", _MORSE),
+    "combined_2d": ("annulus_rotating_2d", {**_ALIGNMENT, "k": "5.0", **_MORSE}),
 }
 
 
@@ -115,8 +103,33 @@ def available_presets() -> list[str]:
     return sorted(p.name[:-4] for p in folder.iterdir() if p.name.endswith(".cfg"))
 
 
+def _one_of(*choices: str):
+    def cast(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"choose from {', '.join(choices)}")
+        return text
+    return cast
+
+
+def _as_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("choose from 1/0, true/false, yes/no, on/off") from None
+
+
+def _cast_like(default):
+    """How to cast a config value whose default is ``default``."""
+    if isinstance(default, bool):
+        return _as_bool
+    return str if isinstance(default, str) else float
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file (or shipped preset name)."""
+    """Parse and validate a config file (or shipped preset name).
+
+    Every key is read through one ``get``, which casts it and records it;
+    any section or key of the file that was not read is an error."""
     candidate = Path(path)
     if not candidate.exists():
         try:
@@ -131,8 +144,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"cannot parse {candidate}: {exc}") from exc
 
     required = object()
+    read = set()
 
     def get(section, key, default=required, cast=str):
+        read.add((section, key.lower()))
         if not parser.has_option(section, key):
             if default is required:
                 raise ConfigurationError(f"{candidate}: missing [{section}] {key}")
@@ -141,29 +156,18 @@ def load_config(path) -> ExperimentConfig:
         try:
             return cast(raw)
         except ValueError as exc:
-            raise ConfigurationError(f"{candidate}: bad value for [{section}] {key}: {raw!r}") from exc
+            raise ConfigurationError(f"{candidate}: bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+
+    def given(section, casts):
+        """The keys of ``casts`` that the file sets, cast."""
+        return {key: value for key, cast in casts.items()
+                if (value := get(section, key, None, cast)) is not None}
 
     as_int = lambda s: int(float(s))
-    kind = get("experiment", "kind")
-    if kind not in EXPERIMENTS:
-        raise ConfigurationError(f"{candidate}: unknown experiment kind {kind!r} (choose from {EXPERIMENTS})")
-    known = {**_SECTION_KEYS, "model": _MODEL_DEFAULTS[kind]}
-    for section in parser.sections():
-        if section == "initial":
-            continue  # checked against the initial condition's parameters when it is built
-        if section not in known:
-            raise ConfigurationError(f"{candidate}: unknown section [{section}]")
-        unknown = sorted(set(parser.options(section)) - set(known[section]))
-        if unknown:
-            raise ConfigurationError(
-                f"{candidate}: unknown [{section}] key(s) for experiment {kind!r}: {', '.join(unknown)}")
-    family = get("experiment", "family", "legendre").lower()
-    if family not in ("legendre", "hermite"):
-        raise ConfigurationError(f"{candidate}: unknown family {family!r}")
-    model_params = dict(parser.items("model")) if parser.has_section("model") else {}
-    ic_kind = get("initial", "kind", _DEFAULT_IC_KIND[kind])
-    ic_params = {k: float(v) for k, v in (parser.items("initial") if parser.has_section("initial") else [])
-                 if k != "kind"}
+    kind = get("experiment", "kind", cast=_one_of(*EXPERIMENTS))
+    default_ic, model_defaults = EXPERIMENTS[kind]
+    ic_kind = get("initial", "kind", default_ic, lambda s: ICKind(s).value)
+    ic_signature = inspect.signature(getattr(InitialCondition, ic_kind))
     cfg = ExperimentConfig(
         kind=kind,
         n_particles=get("experiment", "N", cast=as_int),
@@ -173,24 +177,33 @@ def load_config(path) -> ExperimentConfig:
         dt=get("experiment", "dt", cast=float),
         t_end=get("experiment", "t_end", cast=float),
         seed=get("experiment", "seed", 0, as_int),
-        family=family,
-        model_params=model_params,
+        family=get("experiment", "family", "legendre", lambda s: PolynomialFamily(s.lower()).value),
+        model_params=given("model", {key: _cast_like(value) for key, value in model_defaults.items()}),
         ic_kind=ic_kind,
-        ic_params=ic_params,
+        ic_params=given("initial", {name: _cast_like(param.default)
+                                    for name, param in ic_signature.parameters.items()}),
         out_dir=get("output", "dir", "out"),
         stride=get("output", "stride", 1, as_int),
         grid_min=get("output", "grid_min", -2.0, float),
         grid_max=get("output", "grid_max", 2.0, float),
         grid_bins=get("output", "grid_bins", 50, as_int),
-        pgm=get("output", "pgm", False, lambda s: s.strip().lower() in ("1", "true", "yes", "on")),
+        pgm=get("output", "pgm", False, _as_bool),
         integrator=get("experiment", "integrator", "rk4"),
-        reference=get("converge", "reference", "particle"),
+        reference=get("converge", "reference", "particle", _one_of("particle", "oracle")),
         reference_order=get("converge", "reference_order", None, as_int),
         oracle_points=get("oracle", "points", 801, as_int),
         oracle_v_min=get("oracle", "v_min", -2.0, float),
         oracle_v_max=get("oracle", "v_max", 2.0, float),
         source=str(candidate),
     )
+    for section in parser.sections():
+        known = {key for s, key in read if s == section}
+        if not known:
+            raise ConfigurationError(f"{candidate}: unknown section [{section}]")
+        unknown = sorted(set(parser.options(section)) - known)
+        if unknown:
+            raise ConfigurationError(
+                f"{candidate}: unknown [{section}] key(s) for experiment {kind!r}: {', '.join(unknown)}")
     if cfg.stride < 1:
         raise ConfigurationError(f"{candidate}: [output] stride must be >= 1, got {cfg.stride}")
     if cfg.grid_bins < 1:
@@ -202,62 +215,37 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _model_value(cfg: ExperimentConfig, key: str) -> str:
-    return cfg.model_params.get(key, _MODEL_DEFAULTS[cfg.kind][key])
+def _model(cfg: ExperimentConfig) -> dict:
+    """The [model] values: the config's over the experiment's defaults."""
+    return {**EXPERIMENTS[cfg.kind][1], **cfg.model_params}
 
 
-def _model_scalar(cfg: ExperimentConfig, key: str) -> UncertainScalar:
-    return UncertainScalar.parse(_model_value(cfg, key))
-
-
-def _model_float(cfg: ExperimentConfig, key: str) -> float:
-    try:
-        return float(_model_value(cfg, key))
-    except ValueError as exc:
-        raise ConfigurationError(f"{cfg.source}: [model] {key} must be a number") from exc
-
-
-def _build_morse(cfg: ExperimentConfig) -> MorseSwarmParams:
-    return MorseSwarmParams(
-        a=_model_float(cfg, "a"),
-        b=_model_float(cfg, "b"),
-        C_A=_model_scalar(cfg, "c_a"),
-        C_R=_model_scalar(cfg, "c_r"),
-        ell_A=_model_float(cfg, "ell_a"),
-        ell_R=_model_float(cfg, "ell_r"),
-    )
+def _force(params_type, model: dict):
+    """``params_type`` built from the [model] values, or None when the
+    experiment does not read its keys (its fields, lowercased)."""
+    keys = {fld.name: fld.name.lower() for fld in dataclasses.fields(params_type)}
+    if not model.keys() >= set(keys.values()):
+        return None
+    return params_type(**{name: model[key] for name, key in keys.items()})
 
 
 def build_experiment(cfg: ExperimentConfig) -> tuple[InitialCondition, SolverConfig]:
     """Resolve a config into the initial condition and solver configuration."""
     family = PolynomialFamily(cfg.family)
     basis = build_basis(family, cfg.order, cfg.quad_points)
-    alignment = morse = None
-    if cfg.kind != "mill_2d":
-        alignment = CuckerSmaleParams(K=_model_scalar(cfg, "k"), gamma=_model_scalar(cfg, "gamma"))
-    if cfg.kind in ("mill_2d", "combined_2d"):
-        morse = _build_morse(cfg)
+    model_values = _model(cfg)
+    alignment = _force(CuckerSmaleParams, model_values)
+    morse = _force(MorseSwarmParams, model_values)
     if cfg.kind == "homogeneous" and not (alignment.gamma.is_constant and alignment.gamma.c0 == 0.0):
         raise ConfigurationError(
             f"{cfg.source}: the homogeneous experiment requires gamma = 0, got {alignment.gamma}"
         )
-    if cfg.kind == "combined_2d":
+    if alignment is not None and morse is not None:
         # Alignment rides the first random input, Morse strengths the second.
         basis = tensor_basis(basis, build_basis(family, cfg.order, cfg.quad_points))
     model = ModelSpec(basis=basis, alignment=alignment, morse=morse)
-
-    builders = {
-        "bimodal_velocity_1d": InitialCondition.bimodal_velocity_1d,
-        "bivariate_bimodal_1d": InitialCondition.bivariate_bimodal_1d,
-        "annulus_rotating_2d": InitialCondition.annulus_rotating_2d,
-    }
-    if cfg.ic_kind not in builders:
-        raise ConfigurationError(f"{cfg.source}: unknown initial condition {cfg.ic_kind!r}")
-    try:
-        ic = builders[cfg.ic_kind](**cfg.ic_params)
-    except TypeError as exc:
-        raise ConfigurationError(f"{cfg.source}: bad [initial] parameters: {exc}") from exc
-    expected_dim = 2 if cfg.kind in ("cs_2d", "mill_2d", "combined_2d") else 1
+    ic = getattr(InitialCondition, cfg.ic_kind)(**cfg.ic_params)
+    expected_dim = getattr(InitialCondition, EXPERIMENTS[cfg.kind][0])().dim
     if ic.dim != expected_dim:
         raise ConfigurationError(
             f"{cfg.source}: experiment {cfg.kind!r} is {expected_dim}D but initial condition is {ic.dim}D"
@@ -380,7 +368,7 @@ def _oracle_problem(cfg: ExperimentConfig):
     grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
     basis = build_basis(PolynomialFamily(cfg.family), cfg.order, cfg.quad_points)
     params = {k: v for k, v in cfg.ic_params.items() if k in ("sigma_v_sq", "mu")}
-    return grid, basis, bimodal_density(grid, **params), _model_scalar(cfg, "k")
+    return grid, basis, bimodal_density(grid, **params), _model(cfg)["k"]
 
 
 def _oracle_temperature(cfg: ExperimentConfig) -> float:
@@ -402,8 +390,6 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     if not values:
         raise ConfigurationError(f"empty sweep {sweep!r}")
     points = list(_sweep_points(cfg, axis, values))
-    if cfg.reference not in ("particle", "oracle"):
-        raise ConfigurationError(f"reference must be 'particle' or 'oracle', got {cfg.reference!r}")
     if cfg.reference == "oracle" and cfg.kind != "homogeneous":
         raise ConfigurationError("the oracle reference is only available for the homogeneous experiment")
 
@@ -435,8 +421,7 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
 
 
 @_exit_code
-def cmd_oracle(config_path, out: str | None = None, seed: int | None = None,
-               threads: int | None = None) -> int:
+def cmd_oracle(config_path, out: str | None = None) -> int:
     cfg = _configured(config_path, out)  # the reference solve draws no random numbers
     if cfg.kind != "homogeneous":
         raise ConfigurationError("the oracle command only applies to the homogeneous experiment")
@@ -463,7 +448,7 @@ def cmd_oracle(config_path, out: str | None = None, seed: int | None = None,
         fh.write("t,temperature\n")
         for t, temp in history:
             fh.write(f"{t!r},{temp!r}\n")
-    _write_manifest(out_dir, cfg, "oracle", threads)
+    _write_manifest(out_dir, cfg, "oracle", None)
     return 0
 
 
@@ -473,18 +458,19 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"swarmuq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, seeded=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("config", help="config file path or shipped preset name")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="worker pool size for sweeps")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
+            p.add_argument("--threads", type=int, default=None, help="worker pool size for sweeps")
+        return p
 
-    common(sub.add_parser("run", help="integrate one experiment and emit artifacts"))
-    conv = sub.add_parser("converge", help="sweep M, S or N and tabulate temperature errors")
-    common(conv)
-    conv.add_argument("--sweep", required=True, metavar="AXIS=V1,V2,...",
-                      help="sweep axis and values, e.g. M=1,2,3,4,5")
-    common(sub.add_parser("oracle", help="finite-difference reference for the homogeneous case"))
+    command("run", "integrate one experiment and emit artifacts")
+    command("converge", "sweep M, S or N and tabulate temperature errors").add_argument(
+        "--sweep", required=True, metavar="AXIS=V1,V2,...", help="sweep axis and values, e.g. M=1,2,3,4,5")
+    command("oracle", "finite-difference reference for the homogeneous case", seeded=False)
 
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -492,7 +478,7 @@ def main(argv=None) -> int:
     if args.command == "converge":
         return cmd_converge(args.config, sweep=args.sweep, out=args.out, seed=args.seed,
                             threads=args.threads)
-    return cmd_oracle(args.config, out=args.out, seed=args.seed, threads=args.threads)
+    return cmd_oracle(args.config, out=args.out)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import numpy as np
 
 from .ensemble import GpcEnsemble, evaluate_at_nodes
 from .errors import ConfigurationError, DimensionMismatchError
-from .gpc import expectation_and_variance, project
 
 _DENSITY_KINDS = ("position", "velocity", "phase-space")
 
@@ -36,6 +35,18 @@ class DensityGrid:
         for lo, hi, nb in self.axes:
             vol *= (hi - lo) / nb
         return vol
+
+
+def _histogram(data: np.ndarray, axes, weights=None) -> tuple[np.ndarray, int]:
+    """Per-cell sums of ``weights`` (counts without them) over the rows of
+    ``data``, one column per (min, max, n_bins) axis, and the number of
+    rows outside the window; those are clamped into the edge bins."""
+    lows = np.array([a[0] for a in axes])
+    highs = np.array([a[1] for a in axes])
+    spill = int(np.any((data < lows) | (data > highs), axis=1).sum())
+    sums, _ = np.histogramdd(np.clip(data, lows, highs), bins=[a[2] for a in axes],
+                             range=[(a[0], a[1]) for a in axes], weights=weights)
+    return sums, spill
 
 
 def reconstruct_expected_density(ens: GpcEnsemble, axes, kind: str = "position") -> DensityGrid:
@@ -59,12 +70,7 @@ def reconstruct_expected_density(ens: GpcEnsemble, axes, kind: str = "position")
     axes = tuple((float(lo), float(hi), int(nb)) for lo, hi, nb in axes)
     if len(axes) != data.shape[1]:
         raise DimensionMismatchError(f"{kind} histogram needs {data.shape[1]} axes, got {len(axes)}")
-    lows = np.array([a[0] for a in axes])
-    highs = np.array([a[1] for a in axes])
-    spill = int(np.any((data < lows) | (data > highs), axis=1).sum())
-    clamped = np.clip(data, lows, highs)
-    counts, _ = np.histogramdd(clamped, bins=[a[2] for a in axes],
-                               range=[(a[0], a[1]) for a in axes])
+    counts, spill = _histogram(data, axes)
     cell_volume = np.prod([(a[1] - a[0]) / a[2] for a in axes])
     values = counts / (ens.n_particles * cell_volume)
     return DensityGrid(axes=axes, values=values, kind=kind,
@@ -82,12 +88,6 @@ def expected_temperature(ens: GpcEnsemble, basis) -> float:
     mean = v_nodes.mean(axis=0, keepdims=True)
     t_nodes = ((v_nodes - mean) ** 2).sum(axis=1).mean(axis=0)
     return float(basis.quad_weights @ t_nodes)
-
-
-def observable_uq(per_node_values, basis) -> tuple[float, float]:
-    """Mean and variance of a scalar observable given its quadrature-node values."""
-    coeffs = project(np.asarray(per_node_values, dtype=float), basis)
-    return expectation_and_variance(coeffs, basis)
 
 
 def flocking_spreads(ens: GpcEnsemble, basis) -> tuple[np.ndarray, np.ndarray]:
@@ -224,18 +224,8 @@ def velocity_field(ens: GpcEnsemble, axes) -> tuple[np.ndarray, np.ndarray]:
     axes = tuple((float(lo), float(hi), int(nb)) for lo, hi, nb in axes)
     x0 = ens.x_hat[:, :, 0]
     v0 = ens.v_hat[:, :, 0]
-    lows = np.array([a[0] for a in axes])
-    highs = np.array([a[1] for a in axes])
-    bins = [a[2] for a in axes]
-    clamped = np.clip(x0, lows, highs)
-    idx = []
-    for d in range(2):
-        edges = np.linspace(axes[d][0], axes[d][1], bins[d] + 1)
-        idx.append(np.clip(np.searchsorted(edges, clamped[:, d], side="right") - 1, 0, bins[d] - 1))
-    counts = np.zeros(bins)
-    sums = np.zeros(bins + [2])
-    np.add.at(counts, (idx[0], idx[1]), 1.0)
-    np.add.at(sums, (idx[0], idx[1]), v0)
+    counts, _ = _histogram(x0, axes)
+    sums = np.stack([_histogram(x0, axes, weights=v0[:, c])[0] for c in range(2)], axis=-1)
     with np.errstate(invalid="ignore"):
         means = np.where(counts[:, :, None] > 0, sums / np.maximum(counts, 1.0)[:, :, None], 0.0)
     return counts, means

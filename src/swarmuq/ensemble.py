@@ -151,18 +151,6 @@ def sample_initial(ic: InitialCondition, n_particles: int, seed: int, modes: int
     return GpcEnsemble(x_hat, v_hat, time=0.0)
 
 
-def evaluate_at_theta(ens: GpcEnsemble, i: int, theta, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct particle i's position and velocity at a random-input value.
-
-    ``theta`` is a scalar for a one-input basis or a (theta1, theta2) pair
-    for a two-input basis.
-    """
-    if not 0 <= i < ens.n_particles:
-        raise IndexError(f"particle index {i} out of range [0, {ens.n_particles})")
-    values = basis.eval_basis(theta)
-    return ens.x_hat[i] @ values, ens.v_hat[i] @ values
-
-
 def evaluate_at_nodes(ens: GpcEnsemble, basis) -> tuple[np.ndarray, np.ndarray]:
     """Positions and velocities of all particles at all quadrature nodes.
 

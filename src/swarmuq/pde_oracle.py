@@ -58,9 +58,6 @@ class SgDensity:
     time: float
     u: float
 
-    def mode0_mass(self) -> float:
-        return float(self.coeffs[0].sum() * self.grid.dv)
-
 
 def bimodal_density(grid: VelocityGrid, sigma_v_sq: float = 0.1, mu: float = 0.25) -> np.ndarray:
     """Symmetric two-bump profile on the grid, normalized to unit discrete mass."""
@@ -76,7 +73,6 @@ def sg_homogeneous_solve(
     grid: VelocityGrid,
     dt: float | None = None,
     t_end: float = 1.0,
-    recompute_mean: bool = False,
     observers=(),
     observer_stride: int = 1,
 ) -> SgDensity:
@@ -109,9 +105,9 @@ def sg_homogeneous_solve(
     u = float((v * f0).sum() * dv)
     # mode-coupling matrix of K(theta); exactly diagonal for constant K
     kernel = basis.coupling_matrix(K.c0 if K.is_constant else np.atleast_1d(K(basis.quad_nodes)))
+    drift = v - u
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        drift = v - ((v * c[0]).sum() * dv if recompute_mean else u)
         flux = (kernel @ c) * drift
         out = np.empty_like(c)
         out[:, 1:-1] = (flux[:, 2:] - flux[:, :-2]) / (2 * dv)

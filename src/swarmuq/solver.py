@@ -125,8 +125,6 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | No
     subsets, self allowed.  Returns None when s == n (the full set)."""
     if s == n:
         return None
-    if s == 1:
-        return rng.integers(0, n, size=(n, 1))
     if s * (s - 1) <= n // 4:
         # Collision-light regime: redraw the few rows with duplicates.
         idx = rng.integers(0, n, size=(n, s))
@@ -240,7 +238,7 @@ def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: floa
     ctx = _Context(model)
     n = ens.n_particles
     sub = draw_subsamples(rng, n, cfg.subsample_size)
-    sub_mean = None if sub is None else _subsample_mean_matrix(sub, n)
+    sub_mean = None if sub is None or not ctx.homogeneous else _subsample_mean_matrix(sub, n)
 
     def rhs(x_hat, v_hat):
         return v_hat, _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx)

@@ -86,3 +86,27 @@ def gaussian_expectation(fun, n_nodes=200):
 def bimodal_moments(sigma_sq, mu):
     """Mean and variance of the symmetric two-bump mixture +-mu + N(0, sigma_sq)."""
     return 0.0, sigma_sq + mu**2
+
+
+def cell_mean_velocities(x, v, axes):
+    """Per-cell counts and mean velocities over a 2D position grid by a
+    plain loop.  A point falls in the cell [e_k, e_k+1) that holds it, the
+    last cell also takes its right edge, and points outside the window are
+    clamped into the edge cells; empty cells hold zero velocity."""
+    edges = [np.linspace(lo, hi, nb + 1) for lo, hi, nb in axes]
+    counts = np.zeros([nb for _, _, nb in axes])
+    sums = np.zeros(counts.shape + (2,))
+    for point, velocity in zip(x, v):
+        cell = []
+        for d, (lo, hi, nb) in enumerate(axes):
+            c = min(max(point[d], lo), hi)
+            k = 0
+            while k + 1 < nb and edges[d][k + 1] <= c:
+                k += 1
+            cell.append(k)
+        counts[tuple(cell)] += 1.0
+        sums[tuple(cell)] += velocity
+    means = np.zeros_like(sums)
+    filled = counts > 0
+    means[filled] = sums[filled] / counts[filled][:, None]
+    return counts, means

@@ -27,10 +27,9 @@ from swarmuq.diagnostics import (
 from swarmuq.ensemble import (
     InitialCondition,
     evaluate_at_nodes,
-    evaluate_at_theta,
     sample_initial,
 )
-from swarmuq.gpc import PolynomialFamily, build_basis, tensor_basis
+from swarmuq.gpc import PolynomialFamily, build_basis, reconstruct_at, tensor_basis
 from swarmuq.models import CuckerSmaleParams, MorseSwarmParams
 from swarmuq.solver import ModelSpec, SolverConfig, run, step
 
@@ -230,10 +229,8 @@ def test_c09_mill_regime():
     morse = solver_cfg.model.morse
     target = np.sqrt(morse.a / morse.b)
     _, fin = run(ic, solver_cfg)
-    v_mid = np.array([evaluate_at_theta(fin, i, 0.0, solver_cfg.model.basis)[1]
-                      for i in range(fin.n_particles)])
-    x_mid = np.array([evaluate_at_theta(fin, i, 0.0, solver_cfg.model.basis)[0]
-                      for i in range(fin.n_particles)])
+    v_mid = reconstruct_at(fin.v_hat, 0.0, solver_cfg.model.basis)
+    x_mid = reconstruct_at(fin.x_hat, 0.0, solver_cfg.model.basis)
     speeds = np.linalg.norm(v_mid, axis=1)
     rel_dev = abs(speeds.mean() - target) / target
     dispersion = speeds.std() / speeds.mean()

@@ -59,6 +59,26 @@ points = 101
 reference = particle
 """
 
+MINI_2D = """
+[experiment]
+kind = cs_2d
+N = 150
+S = 5
+M = 3
+dt = 0.01
+t_end = 0.05
+seed = 2
+
+[model]
+K = 1.0
+gamma = 0.1 + 0.05*theta
+
+[output]
+dir = {out}
+stride = 5
+pgm = true
+"""
+
 
 def _write(tmp_path, text, name="config.cfg", **fmt):
     path = tmp_path / name
@@ -136,6 +156,16 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
         cfg_path4 = _write(tmp_path, text, name="output.cfg", out=str(out))
         assert cmd_run(str(cfg_path4)) == 2, bad_output
         assert not out.exists()
+    # a word for a number, a non-boolean, an unknown choice, a key the
+    # initial condition does not take
+    capsys.readouterr()
+    for text, key in ((MINI_2D + "\n[initial]\nr_outer = wide\n", "r_outer"),
+                      (MINI_2D.replace("pgm = true", "pgm = maybe"), "pgm"),
+                      (MINI_CONFIG + "\n[converge]\nreference = bogus\n", "reference"),
+                      (MINI_CONFIG + "\n[initial]\nr_middle = 0.7\n", "r_middle")):
+        assert cmd_run(str(_write(tmp_path, text, name="value.cfg", out=str(out)))) == 2, key
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
 
 def test_misspelled_model_key_exits_2(tmp_path, capsys):
@@ -160,6 +190,15 @@ def test_misspelled_experiment_key_exits_2(tmp_path, capsys):
     assert cmd_run(str(_write(tmp_path, section, name="section.cfg", out=str(out)))) == 2
     assert "ouput" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_counterclockwise_false_runs_clockwise(tmp_path):
+    out = tmp_path / "cw"
+    clockwise = MINI_2D + "\n[initial]\ncounterclockwise = false\n"
+    assert cmd_run(str(_write(tmp_path, clockwise, out=str(out)))) == 0
+    first = (out / "stats.csv").read_text().splitlines()[1]
+    assert float(first.split(",")[-1]) == 0.0
+    assert "ic_params.counterclockwise=False" in (out / "manifest.txt").read_text()
 
 
 def test_missing_config_file_exits_2(capsys):
@@ -269,30 +308,14 @@ def test_cli_main_entrypoint(tmp_path):
     assert (out / "manifest.txt").exists()
     with pytest.raises(SystemExit):
         main(["--version"])
+    # the reference solve draws no random numbers and runs on one thread
+    with pytest.raises(SystemExit):
+        main(["oracle", str(cfg_path), "--seed", "1"])
 
 
 def test_2d_run_emits_velocity_field(tmp_path):
     out = tmp_path / "annulus"
-    text = """
-[experiment]
-kind = cs_2d
-N = 150
-S = 5
-M = 3
-dt = 0.01
-t_end = 0.05
-seed = 2
-
-[model]
-K = 1.0
-gamma = 0.1 + 0.05*theta
-
-[output]
-dir = {out}
-stride = 5
-pgm = true
-"""
-    cfg_path = _write(tmp_path, text, out=str(out))
+    cfg_path = _write(tmp_path, MINI_2D, out=str(out))
     assert cmd_run(str(cfg_path)) == 0
     names = {p.name for p in out.iterdir()}
     assert "velocity_field.csv" in names

@@ -7,7 +7,6 @@ from swarmuq.diagnostics import (
     convergence_error,
     expected_temperature,
     flocking_spreads,
-    observable_uq,
     reconstruct_expected_density,
     velocity_field,
     write_density_csv,
@@ -17,9 +16,9 @@ from swarmuq.diagnostics import (
 )
 from swarmuq.ensemble import GpcEnsemble, InitialCondition, sample_initial
 from swarmuq.errors import ConfigurationError, DimensionMismatchError
-from swarmuq.gpc import PolynomialFamily, build_basis
+from swarmuq.gpc import PolynomialFamily, build_basis, expectation_and_variance, project
 
-from oracles import bimodal_moments, pairwise_spread, uniform_expectation
+from oracles import bimodal_moments, cell_mean_velocities, pairwise_spread, uniform_expectation
 
 
 def test_point_mass_histogram():
@@ -95,14 +94,14 @@ def test_expected_temperature_of_bimodal_sample():
 
 def test_observable_uq_matches_quadrature():
     basis = build_basis(PolynomialFamily.LEGENDRE, 4)
-    const = observable_uq(np.full(basis.n_nodes, 2.5), basis)
+    const = expectation_and_variance(project(np.full(basis.n_nodes, 2.5), basis), basis)
     assert const[0] == pytest.approx(2.5) and const[1] == pytest.approx(0.0, abs=1e-14)
-    mean, var = observable_uq(basis.quad_nodes, basis)
+    mean, var = expectation_and_variance(project(basis.quad_nodes, basis), basis)
     assert abs(mean) < 1e-14
     assert var == pytest.approx(uniform_expectation(lambda th: th**2), abs=1e-13)
     # degree <= M polynomial: variance equals the direct weighted sum
     vals = 0.3 + basis.quad_nodes**3
-    mean, var = observable_uq(vals, basis)
+    mean, var = expectation_and_variance(project(vals, basis), basis)
     direct = np.sum(basis.quad_weights * (vals - np.sum(basis.quad_weights * vals)) ** 2)
     assert abs(var - direct) < 1e-10
 
@@ -111,9 +110,9 @@ def test_observable_uq_shift_and_scale():
     basis = build_basis(PolynomialFamily.LEGENDRE, 3)
     rng = np.random.default_rng(2)
     vals = rng.normal(size=basis.n_nodes)
-    _, var = observable_uq(vals, basis)
-    _, var_shift = observable_uq(vals + 11.0, basis)
-    _, var_scale = observable_uq(3.0 * vals, basis)
+    _, var = expectation_and_variance(project(vals, basis), basis)
+    _, var_shift = expectation_and_variance(project(vals + 11.0, basis), basis)
+    _, var_scale = expectation_and_variance(project(3.0 * vals, basis), basis)
     assert var_shift == pytest.approx(var, rel=1e-10)
     assert var_scale == pytest.approx(9.0 * var, rel=1e-10)
 
@@ -223,3 +222,17 @@ def test_velocity_field_mean_per_cell(tmp_path):
     lines = (tmp_path / "vf.csv").read_text().splitlines()
     assert lines[0] == "i,j,count,vx,vy"
     assert len(lines) == 1 + 4
+
+
+def test_velocity_field_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    axes = [(-1.0, 1.0, 4), (-1.0, 1.0, 3)]
+    x = rng.uniform(-1.5, 1.5, size=(300, 2))
+    # points on interior and outer cell edges, and outside the window
+    x[:60, 0] = rng.choice(np.linspace(-1.0, 1.0, 5), 60)
+    x[60:120, 1] = rng.choice(np.linspace(-1.0, 1.0, 4), 60)
+    v = rng.normal(size=(300, 2))
+    counts, means = velocity_field(GpcEnsemble(x[:, :, None], v[:, :, None]), axes)
+    ref_counts, ref_means = cell_mean_velocities(x, v, axes)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(means, ref_means)

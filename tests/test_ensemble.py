@@ -6,13 +6,12 @@ from swarmuq.ensemble import (
     GpcEnsemble,
     InitialCondition,
     evaluate_at_nodes,
-    evaluate_at_theta,
     load_snapshot,
     sample_initial,
     save_snapshot,
 )
 from swarmuq.errors import ConfigurationError, DimensionMismatchError
-from swarmuq.gpc import PolynomialFamily, build_basis, project, tensor_basis
+from swarmuq.gpc import PolynomialFamily, build_basis, project, reconstruct_at, tensor_basis
 
 from oracles import bimodal_moments
 
@@ -93,11 +92,12 @@ def test_evaluate_at_theta_deterministic_state():
     ens = sample_initial(InitialCondition.bivariate_bimodal_1d(), 10, 7, modes=5)
     basis = build_basis(PolynomialFamily.LEGENDRE, 4)
     for theta in (-1.0, 0.0, 0.62):
-        x, v = evaluate_at_theta(ens, 3, theta, basis)
+        x = reconstruct_at(ens.x_hat[3], theta, basis)
+        v = reconstruct_at(ens.v_hat[3], theta, basis)
         assert np.allclose(x, ens.x_hat[3, :, 0])
         assert np.allclose(v, ens.v_hat[3, :, 0])
     with pytest.raises(IndexError):
-        evaluate_at_theta(ens, 10, 0.0, basis)
+        reconstruct_at(ens.x_hat[10], 0.0, basis)
 
 
 def test_evaluate_at_theta_linear_mode():
@@ -105,7 +105,7 @@ def test_evaluate_at_theta_linear_mode():
     v_hat = np.zeros((1, 1, 2))
     v_hat[0, 0] = [0.0, 1.0]
     ens = GpcEnsemble(np.zeros((1, 1, 2)), v_hat)
-    _, v = evaluate_at_theta(ens, 0, 0.7, basis)
+    v = reconstruct_at(ens.v_hat[0], 0.7, basis)
     assert abs(v[0] - 0.7) < 1e-14
 
 

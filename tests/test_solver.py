@@ -359,8 +359,8 @@ def test_solver_config_validation():
 def test_subsamples_distinct_and_uniform():
     rng = np.random.default_rng(99)
     assert draw_subsamples(rng, 50, 50) is None
-    # rejection regime and dense regime, >= 1e5 sampled indices each
-    for n, s, reps in ((40, 3, 850), (40, 25, 120)):
+    # single partner, rejection regime and dense regime, >= 1e5 sampled indices each
+    for n, s, reps in ((40, 1, 2500), (40, 3, 850), (40, 25, 120)):
         counts = np.zeros(n)
         draws = 0
         for _ in range(reps):
