@@ -367,8 +367,10 @@ def _oracle_problem(cfg: ExperimentConfig):
     finite-difference reference solve."""
     grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
     basis = build_basis(PolynomialFamily(cfg.family), cfg.order, cfg.quad_points)
-    params = {k: v for k, v in cfg.ic_params.items() if k in ("sigma_v_sq", "mu")}
-    return grid, basis, bimodal_density(grid, **params), _model(cfg)["k"]
+    ic = getattr(InitialCondition, cfg.ic_kind)(**cfg.ic_params).params
+    # the velocity law of either 1D initial condition: two bumps at +-mu or +-vbar
+    f0 = bimodal_density(grid, ic["sigma_v_sq"], ic["vbar"] if "vbar" in ic else ic["mu"])
+    return grid, basis, f0, _model(cfg)["k"]
 
 
 def _oracle_temperature(cfg: ExperimentConfig) -> float:

@@ -154,16 +154,29 @@ class MorseSwarmParams:
             )
 
 
-def alignment_kernel(k, gamma, r_sq):
-    """Pairwise alignment strength k / (1 + r^2)^gamma; broadcasts all arguments."""
-    return k / (1.0 + np.asarray(r_sq, dtype=float)) ** gamma
+def alignment_kernel(k, gamma, r_sq, out=None):
+    """Pairwise alignment strength k / (1 + r^2)^gamma; broadcasts all arguments.
+
+    ``out``, of the broadcast shape, receives the result; without it a
+    new array is returned.
+    """
+    base = np.add(1.0, np.asarray(r_sq, dtype=float), out=out)
+    return np.divide(k, np.power(base, gamma, out=out), out=out)
 
 
-def morse_radial_slope(c_a, c_r, ell_a, ell_r, r):
+def morse_radial_slope(c_a, c_r, ell_a, ell_r, r, out=None, work=None):
     """dU/dr of the Morse pair potential U(r) = -C_A exp(-r/l_A) + C_R exp(-r/l_R);
-    broadcasts over strengths and radii."""
+    broadcasts over strengths and radii.
+
+    ``out`` receives the result and ``work``, of the same shape, is
+    overwritten with the repulsion term; given both, nothing is allocated.
+    """
     r = np.asarray(r, dtype=float)
-    return (c_a / ell_a) * np.exp(-r / ell_a) - (c_r / ell_r) * np.exp(-r / ell_r)
+    attraction = np.divide(np.negative(r, out=out), ell_a, out=out)
+    attraction = np.multiply(c_a / ell_a, np.exp(attraction, out=out), out=out)
+    repulsion = np.divide(np.negative(r, out=work), ell_r, out=work)
+    repulsion = np.multiply(c_r / ell_r, np.exp(repulsion, out=work), out=work)
+    return np.subtract(attraction, repulsion, out=out)
 
 
 class FlockingRegime(enum.Enum):

@@ -14,6 +14,16 @@ kernel (decay exponent identically zero) reduces to a constant modal
 interaction matrix, and a fully deterministic model acting on a
 deterministic state updates mode 0 only, keeping higher modes at exact
 zero.
+
+Memory: ``run`` builds one ``_Context`` per run, and its workspace holds
+every array of the node path, reused by all stages of all steps: the
+(N, d, Q) node values of x and v, the (R, P, d, Q) partner gather and
+pair differences, the (R, P, Q) squared distances, distances, kernel
+values and masks, and the (R, d, Q) and (R, d, m) rates, for a row chunk
+of R particles with P partners (S, or N without subsampling).  Still
+allocated per step are the subsample table and, for the homogeneous
+shortcut, its sparse mean matrix; per stage, the (N, d, m) stage state
+and modal rate, and the deterministic shortcut's order-0 slices.
 """
 from __future__ import annotations
 
@@ -101,7 +111,8 @@ class SolverConfig:
 
 
 class _Context:
-    """Per-model precomputation shared by all stages of all steps."""
+    """Per-model precomputation and node-path workspace, shared by all
+    stages of all steps of one run."""
 
     def __init__(self, model: ModelSpec):
         self.model = model
@@ -118,6 +129,47 @@ class _Context:
         if model.morse is not None:
             self.ca_nodes = np.atleast_1d(model.morse.C_A(model.morse_nodes))
             self.cr_nodes = np.atleast_1d(model.morse.C_R(model.morse_nodes))
+        self._order0 = None
+        self._workspace = None
+
+    @property
+    def order0(self) -> "_Context":
+        """The same model on the one-node order-0 rule, for the
+        deterministic shortcut; built on first use."""
+        if self._order0 is None:
+            self._order0 = _Context(replace(self.model, basis=build_basis(PolynomialFamily.LEGENDRE, 0, 1)))
+        return self._order0
+
+    def workspace(self, n: int, partners: int, d: int) -> "_Workspace":
+        """Buffers for N particles with ``partners`` partners each in d
+        dimensions; rebuilt only when that shape changes."""
+        if self._workspace is None or self._workspace.shape != (n, partners, d):
+            self._workspace = _Workspace(n, partners, d, *self.table.shape)
+        return self._workspace
+
+
+class _Workspace:
+    """Every array the node path writes, sized for the largest row chunk
+    (R rows of P partners): nothing is allocated per stage.  Unused
+    buffers cost no resident memory, since pages are mapped on first
+    write."""
+
+    def __init__(self, n: int, partners: int, d: int, m: int, q: int):
+        self.shape = (n, partners, d)
+        self.rows = min(n, max(1, _CHUNK_BUDGET // max(partners * d * q, 1)))
+        rows = self.rows
+        self.x_nodes = np.empty((n, d, q))              # x_hat @ table
+        self.v_nodes = np.empty((n, d, q))
+        self.pairs = np.empty((rows, partners, d, q))   # partner gather, then v_j - v_i
+        self.diff = np.empty((rows, partners, d, q))    # x_i - x_j
+        self.r_sq = np.empty((rows, partners, q))       # also the Morse repulsion term
+        self.r = np.empty((rows, partners, q))
+        self.kernel = np.empty((rows, partners, q))     # alignment h, then the Morse coefficient
+        self.mask = np.empty((rows, partners, q), dtype=bool)  # not r > 0
+        self.rate = np.empty((rows, d, q))
+        self.term = np.empty((rows, d, q))
+        self.speed_sq = np.empty((rows, q))
+        self.modal = np.empty((rows, d, m))
 
 
 def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | None:
@@ -161,42 +213,56 @@ def _subsample_mean_matrix(sub: np.ndarray, n: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, sub.ravel(), indptr), shape=(rows, n))
 
 
-def _forces_for_rows(rows, x_nodes, v_nodes, sub, ctx) -> np.ndarray:
-    """Modal velocity rate for the given particle rows, excluding the
+def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws) -> np.ndarray:
+    """Modal velocity rate of particle rows lo:hi, excluding the
     factorized homogeneous-alignment shortcut (handled by the caller).
 
-    ``sub`` is the (N, S) partner table, or None for all-to-all.
+    ``sub`` is the (N, S) partner table, or None for all-to-all.  Every
+    intermediate is written into the workspace ``ws``, and the result is
+    a view of it, valid until the next call.
     """
     model = ctx.model
-    n = x_nodes.shape[0]
-    xi = x_nodes[rows][:, None]                       # (R, 1, d, Q)
-    vi = v_nodes[rows][:, None]
+    rows = hi - lo
+    xi = x_nodes[lo:hi, None]                         # (R, 1, d, Q)
+    vi = v_nodes[lo:hi, None]
+    pairs, diff, rate = ws.pairs[:rows], ws.diff[:rows], ws.rate[:rows]
     if sub is None:
-        xj = x_nodes[None, :]                         # (1, N, d, Q)
-        vj = v_nodes[None, :]
-        denom = n
+        xj, denom = x_nodes[None], x_nodes.shape[0]   # (1, N, d, Q)
     else:
-        xj = x_nodes[sub[rows]]                       # (R, S, d, Q)
-        vj = v_nodes[sub[rows]]
+        # indices come from draw_subsamples; "clip" avoids the buffered copy of "raise"
+        xj = np.take(x_nodes, sub[lo:hi], axis=0, out=pairs, mode="clip")  # (R, S, d, Q)
         denom = sub.shape[1]
-    diff = xi - xj
-    r_sq = np.einsum("rsdq,rsdq->rsq", diff, diff)    # (R, S|N, Q)
-    rate_nodes = 0.0
-    if model.alignment is not None and not ctx.homogeneous:
-        h = alignment_kernel(ctx.k_nodes, ctx.g_nodes, r_sq)
-        rate_nodes = np.einsum("rsq,rsdq->rdq", h, vj - vi) / denom
+    np.subtract(xi, xj, out=diff)
+    r_sq = np.einsum("rsdq,rsdq->rsq", diff, diff, out=ws.r_sq[:rows])  # (R, S|N, Q)
+    aligning = model.alignment is not None and not ctx.homogeneous
+    if aligning:
+        if sub is None:
+            np.subtract(v_nodes[None], vi, out=pairs)
+        else:
+            np.subtract(np.take(v_nodes, sub[lo:hi], axis=0, out=pairs, mode="clip"), vi, out=pairs)
+        h = alignment_kernel(ctx.k_nodes, ctx.g_nodes, r_sq, out=ws.kernel[:rows])
+        np.divide(np.einsum("rsq,rsdq->rdq", h, pairs, out=rate), denom, out=rate)
     if model.morse is not None:
         morse = model.morse
-        r = np.sqrt(r_sq)
-        slope = morse_radial_slope(ctx.ca_nodes, ctx.cr_nodes, morse.ell_A, morse.ell_R, r)
+        dist = np.sqrt(r_sq, out=ws.r[:rows])
+        slope = morse_radial_slope(ctx.ca_nodes, ctx.cr_nodes, morse.ell_A, morse.ell_R, dist,
+                                   out=ws.kernel[:rows], work=r_sq)
         # self pairs (and coincident particles) have r == 0 exactly and
-        # contribute no force, matching the pair sum that skips j == i
+        # contribute no force, matching the pair sum that skips j == i;
+        # a NaN distance also gives zero, as np.where(r > 0, ...) does
         with np.errstate(invalid="ignore", divide="ignore"):
-            coef = np.where(r > 0.0, -slope / r, 0.0)
-        rate_nodes = rate_nodes + np.einsum("rsq,rsdq->rdq", coef, diff) / denom
-        speed_sq = np.einsum("rdq,rdq->rq", v_nodes[rows], v_nodes[rows])
-        rate_nodes = rate_nodes + (morse.a - morse.b * speed_sq[:, None, :]) * v_nodes[rows]
-    return rate_nodes @ ctx.proj
+            coef = np.divide(np.negative(slope, out=slope), dist, out=slope)
+        mask = ws.mask[:rows]
+        np.copyto(coef, 0.0, where=np.logical_not(np.greater(dist, 0.0, out=mask), out=mask))
+        force = ws.term[:rows] if aligning else rate
+        np.divide(np.einsum("rsq,rsdq->rdq", coef, diff, out=force), denom, out=force)
+        if aligning:
+            np.add(rate, force, out=rate)
+        vr = v_nodes[lo:hi]
+        propulsion = np.einsum("rdq,rdq->rq", vr, vr, out=ws.speed_sq[:rows])
+        propulsion = np.subtract(morse.a, np.multiply(morse.b, propulsion, out=propulsion), out=propulsion)
+        np.add(rate, np.multiply(propulsion[:, None, :], vr, out=ws.term[:rows]), out=rate)
+    return np.matmul(rate, ctx.proj, out=ws.modal[:rows])
 
 
 def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
@@ -211,31 +277,31 @@ def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
         dv += (target - v_hat) @ ctx.e_const.T
         if ctx.model.morse is None:
             return dv
-    q = ctx.table.shape[1]
-    x_nodes = x_hat @ ctx.table
-    v_nodes = v_hat @ ctx.table
-    per_row = (n if sub is None else sub.shape[1]) * d * q
-    chunk = max(1, _CHUNK_BUDGET // max(per_row, 1))
-    for lo in range(0, n, chunk):
-        rows = np.arange(lo, min(n, lo + chunk))
-        dv[rows] += _forces_for_rows(rows, x_nodes, v_nodes, sub, ctx)
+    ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
+    x_nodes = np.matmul(x_hat, ctx.table, out=ws.x_nodes)
+    v_nodes = np.matmul(v_hat, ctx.table, out=ws.v_nodes)
+    for lo in range(0, n, ws.rows):
+        hi = min(n, lo + ws.rows)
+        dv[lo:hi] += _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws)
     return dv
 
 
-def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: float | None = None) -> GpcEnsemble:
+def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: float | None = None,
+         ctx: _Context | None = None) -> GpcEnsemble:
     """Advance one time step; the per-particle subsamples are drawn once
-    and frozen across stages."""
+    and frozen across stages.  ``ctx`` is the run's context of
+    ``cfg.model``, reused across steps; without it one is built here."""
     dt = cfg.dt if dt is None else dt
-    model = cfg.model
+    if ctx is None or ctx.model is not cfg.model:
+        ctx = _Context(cfg.model)
     x0, v0 = ens.x_hat, ens.v_hat
-    deterministic = model.is_deterministic and not (x0[:, :, 1:].any() or v0[:, :, 1:].any())
+    deterministic = cfg.model.is_deterministic and not (x0[:, :, 1:].any() or v0[:, :, 1:].any())
     if deterministic:
         # A theta-independent model acting on a theta-independent state
         # moves mode 0 only: integrate it on the one-node order-0 rule and
         # keep the higher modes at exact zero.
-        model = replace(model, basis=build_basis(PolynomialFamily.LEGENDRE, 0, 1))
+        ctx = ctx.order0
         x0, v0 = x0[:, :, :1], v0[:, :, :1]
-    ctx = _Context(model)
     n = ens.n_particles
     sub = draw_subsamples(rng, n, cfg.subsample_size)
     sub_mean = None if sub is None or not ctx.homogeneous else _subsample_mean_matrix(sub, n)
@@ -299,9 +365,10 @@ def run(
         records.append((e.time, [obs(e) for obs in observers]))
 
     observe(ens)
+    ctx = _Context(cfg.model)
     dts = time_steps(cfg.t_end, cfg.dt)
     for k, dt in enumerate(dts):
-        ens = step(ens, cfg, _step_rng(cfg.seed, k), dt=dt)
+        ens = step(ens, cfg, _step_rng(cfg.seed, k), dt=dt, ctx=ctx)
         if (k + 1) % observer_stride == 0 or k + 1 == len(dts):
             observe(ens)
     return records, ens

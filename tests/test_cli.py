@@ -266,6 +266,17 @@ def test_oracle_deterministic_strength_decay(tmp_path):
         assert abs(temp - t0 * np.exp(-2.0 * t)) / (t0 * np.exp(-2.0 * t)) < 0.01
 
 
+def test_oracle_starts_from_configured_initial_condition(tmp_path):
+    # bumps at +-vbar = +-1 with variance 0.2: temperature 1.15961 on the
+    # 101-point grid over [-2, 2]; bumps at the default +-mu = +-0.25 give 0.262
+    out = tmp_path / "oracle_vbar"
+    text = MINI_HOMOGENEOUS + "\n[initial]\nkind = bivariate_bimodal_1d\nvbar = 1.0\nsigma_v_sq = 0.2\n"
+    assert cmd_oracle(str(_write(tmp_path, text, out=str(out)))) == 0
+    t0, temp0 = map(float, (out / "oracle_temperature.csv").read_text().splitlines()[1].split(","))
+    assert t0 == 0.0
+    assert abs(temp0 - 1.15961) < 1e-5
+
+
 def test_oracle_rejects_non_homogeneous(tmp_path, capsys):
     cfg_path = _write(tmp_path, MINI_CONFIG, out=str(tmp_path / "x"))
     assert cmd_oracle(str(cfg_path)) == 2

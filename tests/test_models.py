@@ -12,6 +12,7 @@ from swarmuq.models import (
     flocking_criterion,
     linearized_flocking_check,
     mill_regime,
+    morse_radial_slope,
 )
 from swarmuq.solver import ModelSpec, _Context, _velocity_rate_full
 
@@ -70,6 +71,29 @@ def test_cs_kernel_examples():
     assert abs(alignment_kernel(params.K(0.0), params.gamma(0.0), 1.0) - 2.0 ** (-0.1)) < 1e-12
     big = alignment_kernel(1.0, 0.5, 1e12)
     assert 0.0 < big < 1e-5
+
+
+def test_kernels_write_into_out_bit_for_bit():
+    # the in-place forms the solver uses return the given buffer and equal
+    # both the allocating call and the textbook expression exactly
+    rng = np.random.default_rng(4)
+    r = rng.uniform(0.0, 6.0, size=(7, 5, 3))
+    r[0, :2] = 0.0
+    r_sq = r * r
+    k, gamma = np.array([0.5, 1.0, 1.5]), np.array([0.1, 0.3, 0.45])
+    c_a, c_r = np.array([29.0, 30.0, 31.0]), np.array([9.0, 10.0, 11.0])
+    expected_h = k / (1.0 + r_sq) ** gamma
+    expected_slope = (c_a / 100.0) * np.exp(-r / 100.0) - (c_r / 3.0) * np.exp(-r / 3.0)
+    buf = np.empty_like(r)
+    assert alignment_kernel(k, gamma, r_sq, out=buf) is buf
+    assert np.array_equal(buf, alignment_kernel(k, gamma, r_sq))
+    assert np.array_equal(buf, expected_h)
+    work = np.empty_like(r)
+    assert morse_radial_slope(c_a, c_r, 100.0, 3.0, r, out=buf, work=work) is buf
+    assert np.array_equal(buf, morse_radial_slope(c_a, c_r, 100.0, 3.0, r))
+    assert np.array_equal(buf, expected_slope)
+    assert np.array_equal(morse_radial_slope(c_a, c_r, 100.0, 3.0, r, out=np.empty_like(r)),
+                          expected_slope)
 
 
 def test_cs_kernel_positive_and_monotone():

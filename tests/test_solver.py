@@ -8,10 +8,12 @@ from swarmuq.ensemble import GpcEnsemble, InitialCondition, evaluate_at_nodes, s
 from swarmuq.errors import ConfigurationError, IntegrationBlowupError
 from swarmuq.gpc import PolynomialFamily, build_basis, tensor_basis
 from swarmuq.models import CuckerSmaleParams, MorseSwarmParams, alignment_kernel
+from swarmuq import solver
 from swarmuq.solver import (
     ModelSpec,
     SolverConfig,
     _Context,
+    _forces_for_rows,
     _subsample_mean_matrix,
     _velocity_rate_full,
     draw_subsamples,
@@ -19,7 +21,7 @@ from swarmuq.solver import (
     step,
 )
 
-from oracles import direct_rk4
+from oracles import direct_rk4, forces_for_rows
 
 
 def _cs_spec(order=5, K="1.0", gamma="0.1+0.05*theta", quad=None):
@@ -42,6 +44,18 @@ def _rate(ens, partners, spec):
     sub = np.tile(np.asarray(partners), (ens.n_particles, 1))
     return _velocity_rate_full(ens.x_hat, ens.v_hat, sub,
                                _subsample_mean_matrix(sub, ens.n_particles), _Context(spec))
+
+
+def _mill_spec(order=3):
+    morse = MorseSwarmParams(a=0.7, b=0.5, C_A="30+theta", C_R="10+theta", ell_A=100.0, ell_R=3.0)
+    return ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, order), morse=morse)
+
+
+def _combined_spec(order=2):
+    morse = MorseSwarmParams(a=0.07, b=0.05, C_A="30+theta", C_R=10.0, ell_A=100.0, ell_R=3.0)
+    align = CuckerSmaleParams(K="5.0", gamma="0.1+0.05*theta")
+    basis = build_basis(PolynomialFamily.LEGENDRE, order)
+    return ModelSpec(basis=tensor_basis(basis, basis), alignment=align, morse=morse)
 
 
 def test_interaction_coeffs_constant_kernel_is_identity():
@@ -376,3 +390,60 @@ def test_subsamples_distinct_and_uniform():
         expected = draws * s / n
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert stats.chi2.sf(chi2, n - 1) > 0.01
+
+
+def test_forces_for_rows_match_allocating_reference():
+    # the workspace path against the whole-array reference on random chaos
+    # states, with particles 0 and 1 coincident (r = 0 at every node), for
+    # a subsample table and for all-to-all (sub is None)
+    rng = np.random.default_rng(21)
+    homogeneous_mill = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 3),
+                                 alignment=CuckerSmaleParams(K="1+0.5*theta", gamma="0.0"),
+                                 morse=_mill_spec().morse)
+    n = 12
+    for spec, d in ((_cs_spec(order=3), 1), (_mill_spec(), 2), (_combined_spec(), 2),
+                    (homogeneous_mill, 2)):
+        ctx = _Context(spec)
+        m = spec.basis.n_modes
+        x_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
+        v_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
+        x_hat[1] = x_hat[0]
+        x_nodes, v_nodes = x_hat @ ctx.table, v_hat @ ctx.table
+        for sub in (draw_subsamples(rng, n, 4), None):
+            ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
+            for lo, hi in ((0, n), (3, 7)):
+                got = _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws)
+                want = forces_for_rows(np.arange(lo, hi), x_nodes, v_nodes, sub, ctx)
+                assert np.array_equal(got, want)
+
+
+def test_chunked_step_matches_one_chunk(monkeypatch):
+    # a budget of 13 rows splits 40 particles into chunks of 13, 13, 13, 1
+    n, s, rows = 40, 5, 13
+    ic = InitialCondition.annulus_rotating_2d()
+    for spec in (_mill_spec(), _combined_spec()):
+        ens = sample_initial(ic, n, 5, spec.basis.n_modes)
+        cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=s, seed=0, model=spec)
+        whole = step(ens, cfg, np.random.default_rng(1))
+        per_row = s * 2 * spec.basis.n_nodes
+        monkeypatch.setattr(solver, "_CHUNK_BUDGET", rows * per_row)
+        assert _Context(spec).workspace(n, s, 2).rows == rows
+        chunked = step(ens, cfg, np.random.default_rng(1))
+        monkeypatch.undo()
+        assert np.array_equal(chunked.x_hat, whole.x_hat)
+        assert np.array_equal(chunked.v_hat, whole.v_hat)
+
+
+def test_runs_of_different_models_share_no_buffers():
+    # mill, then combined (other N, Q and modes), then mill again: the
+    # repeated run must not see anything the earlier runs left behind
+    ic = InitialCondition.annulus_rotating_2d()
+    mill = SolverConfig(n_particles=30, dt=0.01, t_end=0.1, subsample_size=5, seed=8,
+                        model=_mill_spec())
+    combined = SolverConfig(n_particles=24, dt=0.01, t_end=0.1, subsample_size=24, seed=8,
+                            model=_combined_spec())
+    _, first = run(ic, mill)
+    run(ic, combined)
+    _, again = run(ic, mill)
+    assert np.array_equal(first.x_hat, again.x_hat)
+    assert np.array_equal(first.v_hat, again.v_hat)
