@@ -454,6 +454,17 @@ def cmd_oracle(config_path, out: str | None = None) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--threads``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="swarmuq", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -466,7 +477,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-            p.add_argument("--threads", type=int, default=None, help="worker pool size for sweeps")
+            p.add_argument("--threads", type=_positive_int, default=None, help="worker pool size for sweeps")
         return p
 
     command("run", "integrate one experiment and emit artifacts")

@@ -7,6 +7,16 @@ reconstructed states there, and projected back onto the basis.  The
 subsample is frozen across the stages of one Runge-Kutta step so that
 every step integrates a consistent ODE.
 
+``draw_subsamples`` picks the fastest of three exact samplers by how
+dense the subsets are.  Collision-light (s(s-1) <= N//4): draw whole rows
+with replacement and redraw rows with a repeat; an accepted row is an
+i.i.d. draw conditioned on being distinct, hence a uniform set.  Middle
+(up to S = N/5): draw with replacement, sort each row and redraw only
+the repeated slots; the procedure commutes with every relabelling of the
+particles, so each row's set has a permutation-invariant, hence uniform,
+law.  Very dense (S > N/5): partial Fisher-Yates, which takes each next
+index uniformly among those left.
+
 Cost per step is O(N * S * n_modes * n_nodes): positions and velocities
 are reconstructed at the nodes once per stage and reused for every pair.
 Two exact shortcuts avoid wasted work: a position-independent alignment
@@ -174,7 +184,21 @@ class _Workspace:
 
 def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | None:
     """Per-particle subsamples: (n, s) distinct indices each, uniform over
-    subsets, self allowed.  Returns None when s == n (the full set)."""
+    subsets, self allowed.  Returns None when s == n (the full set).
+
+    Three regimes, each picked for speed; every one gives each row a
+    uniform s-subset, independently of the other rows:
+
+    - collision-light, s(s-1) <= n//4: draw whole rows with replacement
+      and redraw every row that repeats an index.  An accepted row is an
+      i.i.d. uniform draw conditioned on being distinct, so its set is
+      uniform.  int64, in draw order.
+    - middle, up to s = n/5: ``_sorted_redraw``, int32, each row sorted
+      ascending.  ``np.take`` and scipy's CSR take int32 indices as they
+      are.
+    - very dense, s > n/5: partial Fisher-Yates, which picks each next
+      index uniformly among those not yet taken.  int64, in draw order.
+    """
     if s == n:
         return None
     if s * (s - 1) <= n // 4:
@@ -185,8 +209,11 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | No
             if not bad.any():
                 return idx
             idx[bad] = rng.integers(0, n, size=(int(bad.sum()), s))
-    # Dense regime: partial Fisher-Yates over row chunks sized to stay
-    # cache-resident (large chunks thrash on the scattered column swaps).
+    if 5 * s <= n:
+        return _sorted_redraw(rng, n, s)
+    # Very dense regime, where the redraw needs many rounds: partial
+    # Fisher-Yates over row chunks sized to stay cache-resident (large
+    # chunks thrash on the scattered column swaps).
     out = np.empty((n, s), dtype=np.int64)
     chunk = max(1, (1 << 21) // n)
     base = np.arange(n, dtype=np.int64)
@@ -204,6 +231,36 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | No
             perm[rows, j] = tmp
         out[lo:hi] = perm[:, :s]
     return out
+
+
+def _sorted_redraw(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
+    """(n, s) int32 rows of distinct indices in 0..n-1, each sorted.
+
+    Draw with replacement and sort each row; then, until no row has a
+    repeat, redraw the slots equal to their left neighbour and re-sort
+    only the rows that had one.
+
+    Why each row's set is uniform: a round keeps one copy of every value
+    of the row's multiset and replaces the other copies by fresh uniform
+    draws.  Relabelling 0..n-1 by a permutation maps the first draw and
+    every round to draws of the same law, so the law of the final set is
+    invariant under every permutation.  Permutations reach every s-subset
+    from any other, so that law is uniform.  Fresh draws are i.i.d.
+    whichever slot takes them, so the rows stay independent.
+    """
+    idx = rng.integers(0, n, size=(n, s), dtype=np.int32)
+    idx.sort(axis=1)
+    rows, block = np.arange(n), idx     # block: the rows still being fixed
+    while True:
+        # flat positions, split into (row, column): cheaper than 2-D nonzero
+        repeats = np.flatnonzero(block[:, 1:] == block[:, :-1])
+        if repeats.size == 0:
+            return idx
+        r, c = np.divmod(repeats, s - 1)
+        block[r, c + 1] = rng.integers(0, n, size=r.size, dtype=np.int32)
+        bad = np.unique(r)
+        rows, block = rows[bad], np.sort(block[bad], axis=1)
+        idx[rows] = block
 
 
 def _subsample_mean_matrix(sub: np.ndarray, n: int) -> sparse.csr_matrix:

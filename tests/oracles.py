@@ -81,6 +81,18 @@ def forces_for_rows(rows, x_nodes, v_nodes, sub, ctx):
     return rate_nodes @ ctx.proj
 
 
+def rejection_subsamples(rng, n, s):
+    """Rows of s distinct indices in 0..n-1: draw every row with
+    replacement and redraw the rows that repeat an index.  This is the
+    solver's collision-light sampler, kept here to pin its random stream."""
+    idx = rng.integers(0, n, size=(n, s))
+    while True:
+        bad = np.array([len(set(row)) < s for row in idx.tolist()], dtype=bool)
+        if not bad.any():
+            return idx
+        idx[bad] = rng.integers(0, n, size=(int(bad.sum()), s))
+
+
 def direct_rk4(x0, v0, theta, dt, n_steps, **model):
     """Classical RK4 on the N-body system at fixed theta."""
     x, v = x0.copy(), v0.copy()

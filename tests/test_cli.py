@@ -309,7 +309,12 @@ def test_converge_rejects_bad_sweeps(tmp_path, capsys):
     assert cmd_converge(str(cfg_path), sweep="Z=1,2") == 2
     assert cmd_converge(str(cfg_path), sweep="M=") == 2
     assert cmd_converge(str(cfg_path), sweep="M=a,b") == 2
-    capsys.readouterr()
+    # a worker pool of no threads fails in argparse, before the reference solve
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", str(cfg_path), "--sweep", "S=5", "--threads", "-1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_cli_main_entrypoint(tmp_path):
@@ -322,6 +327,12 @@ def test_cli_main_entrypoint(tmp_path):
     # the reference solve draws no random numbers and runs on one thread
     with pytest.raises(SystemExit):
         main(["oracle", str(cfg_path), "--seed", "1"])
+    other = tmp_path / "no_threads"
+    for threads in ("0", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg_path), "--out", str(other), "--threads", threads])
+        assert exc.value.code == 2
+        assert not other.exists()
 
 
 def test_2d_run_emits_velocity_field(tmp_path):

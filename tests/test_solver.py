@@ -14,6 +14,7 @@ from swarmuq.solver import (
     SolverConfig,
     _Context,
     _forces_for_rows,
+    _sorted_redraw,
     _subsample_mean_matrix,
     _velocity_rate_full,
     draw_subsamples,
@@ -21,7 +22,7 @@ from swarmuq.solver import (
     step,
 )
 
-from oracles import direct_rk4, forces_for_rows
+from oracles import direct_rk4, forces_for_rows, rejection_subsamples
 
 
 def _cs_spec(order=5, K="1.0", gamma="0.1+0.05*theta", quad=None):
@@ -373,8 +374,12 @@ def test_solver_config_validation():
 def test_subsamples_distinct_and_uniform():
     rng = np.random.default_rng(99)
     assert draw_subsamples(rng, 50, 50) is None
-    # single partner, rejection regime and dense regime, >= 1e5 sampled indices each
-    for n, s, reps in ((40, 1, 2500), (40, 3, 850), (40, 25, 120)):
+    # up to S = N/5 past the collision-light regime: the sorted redraw
+    middle = draw_subsamples(np.random.default_rng(1), 400, 20)
+    assert np.array_equal(middle, _sorted_redraw(np.random.default_rng(1), 400, 20))
+    # single partner, collision-light, middle and very dense regimes,
+    # >= 1e5 sampled indices each
+    for n, s, reps in ((40, 1, 2500), (40, 3, 850), (400, 20, 13), (40, 25, 120)):
         counts = np.zeros(n)
         draws = 0
         for _ in range(reps):
@@ -390,6 +395,31 @@ def test_subsamples_distinct_and_uniform():
         expected = draws * s / n
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert stats.chi2.sf(chi2, n - 1) > 0.01
+
+
+def test_subsample_sets_uniform_over_all_subsets():
+    # the joint law, which the per-index counts above cannot see: every
+    # 3-subset of 6 indices equally likely, chi-square over all 20 at 1%,
+    # for the sorted redraw and for the Fisher-Yates regime of (6, 3)
+    rng = np.random.default_rng(5)
+    weights = 1 << np.arange(6)
+    for draw in (_sorted_redraw, draw_subsamples):
+        subs = np.concatenate([draw(rng, 6, 3) for _ in range(1000)])
+        assert (np.diff(np.sort(subs, axis=1), axis=1) > 0).all()
+        if draw is _sorted_redraw:
+            assert (np.diff(subs, axis=1) > 0).all(), "rows come out sorted"
+        _, counts = np.unique(weights[subs].sum(axis=1), return_counts=True)
+        assert counts.size == math.comb(6, 3)
+        expected = subs.shape[0] / counts.size
+        chi2 = ((counts - expected) ** 2 / expected).sum()
+        assert stats.chi2.sf(chi2, counts.size - 1) > 0.01, draw.__name__
+
+
+def test_collision_light_stream_is_unchanged():
+    # the regime of the mill and combined presets keeps its random stream
+    sub = draw_subsamples(np.random.default_rng(7), 2000, 10)
+    ref = rejection_subsamples(np.random.default_rng(7), 2000, 10)
+    assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
 
 
 def test_forces_for_rows_match_allocating_reference():
