@@ -164,6 +164,7 @@ def evaluate_at_nodes(ens: GpcEnsemble, basis) -> tuple[np.ndarray, np.ndarray]:
 
 
 _SNAPSHOT_HEADER = "i,dim,mode,x_hat,v_hat"
+_SNAPSHOT_BLOCK_ROWS = 1024  # rows formatted per write
 
 
 def _basis_meta(basis) -> dict:
@@ -182,11 +183,20 @@ def save_snapshot(ens: GpcEnsemble, path, basis=None, seed: int | None = None) -
     """
     path = Path(path)
     n, d, m = ens.x_hat.shape
-    idx = np.indices((n, d, m)).reshape(3, -1)
+    # Rows in C order of (i, dim, mode), each float by repr, which
+    # round-trips float64.  They are formatted and written a block of
+    # particles at a time: whole-file row lists would add about 20 MB
+    # of Python strings to the run's peak memory at N = 10^4.
+    tails = [f",{dd},{h}," for dd in range(d) for h in range(m)]
+    block = max(1, _SNAPSHOT_BLOCK_ROWS // (d * m))
     with open(path, "w") as fh:
         fh.write(_SNAPSHOT_HEADER + "\n")
-        for (i, dd, h), xv, vv in zip(idx.T, ens.x_hat.ravel(), ens.v_hat.ravel()):
-            fh.write(f"{i},{dd},{h},{float(xv)!r},{float(vv)!r}\n")
+        for lo in range(0, n, block):
+            hi = min(n, lo + block)
+            prefixes = [f"{i}{tail}" for i in range(lo, hi) for tail in tails]
+            fh.write("".join([f"{prefix}{xv!r},{vv!r}\n" for prefix, xv, vv in
+                              zip(prefixes, ens.x_hat[lo:hi].ravel().tolist(),
+                                  ens.v_hat[lo:hi].ravel().tolist())]))
     meta = {"N": str(n), "d": str(d), **_basis_meta(basis),
             "time": repr(ens.time), "seed": "" if seed is None else str(seed)}
     with open(path.with_name(path.name + ".meta.txt"), "w") as fh:

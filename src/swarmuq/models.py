@@ -172,9 +172,10 @@ def morse_radial_slope(c_a, c_r, ell_a, ell_r, r, out=None, work=None):
     overwritten with the repulsion term; given both, nothing is allocated.
     """
     r = np.asarray(r, dtype=float)
-    attraction = np.divide(np.negative(r, out=out), ell_a, out=out)
+    # r / (-l) is exactly -(r / l) in IEEE arithmetic, without a negation pass
+    attraction = np.divide(r, -ell_a, out=out)
     attraction = np.multiply(c_a / ell_a, np.exp(attraction, out=out), out=out)
-    repulsion = np.divide(np.negative(r, out=work), ell_r, out=work)
+    repulsion = np.divide(r, -ell_r, out=work)
     repulsion = np.multiply(c_r / ell_r, np.exp(repulsion, out=work), out=work)
     return np.subtract(attraction, repulsion, out=out)
 

@@ -30,7 +30,12 @@ every array of the node path, reused by all stages of all steps: the
 (N, d, Q) node values of x and v, the (R, P, d, Q) partner gather and
 pair differences, the (R, P, Q) squared distances, distances, kernel
 values and masks, and the (R, d, Q) and (R, d, m) rates, for a row chunk
-of R particles with P partners (S, or N without subsampling).  Still
+of R particles with P partners (S, or N without subsampling).  R is
+sized for the cache, not for memory: each (R, P, d, Q) buffer holds
+about 1 MiB (``_CHUNK_BUDGET``), so the gather and the differences of a
+chunk stay in one core's L2 while the distance, kernel and contraction
+passes reread them; one chunk of all N rows (8 MB per buffer for
+combined_2d_desk) would stream every pass through main memory.  Still
 allocated per step are the subsample table and, for the homogeneous
 shortcut, its sparse mean matrix; per stage, the (N, d, m) stage state
 and modal rate, and the deterministic shortcut's order-0 slices.
@@ -53,8 +58,10 @@ from .models import (
 )
 from .timegrid import time_steps
 
-# Element budget for pairwise intermediates; keeps peak memory bounded.
-_CHUNK_BUDGET = 1 << 22
+# Elements of one (R, P, d, Q) buffer: 1 MiB of float64, so that the
+# partner gather and the pair differences of a row chunk fit together in
+# one core's 2 MiB share of L2.  A row larger than this is one chunk.
+_CHUNK_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -308,11 +315,13 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws) -> np.ndarray:
         # contribute no force, matching the pair sum that skips j == i;
         # a NaN distance also gives zero, as np.where(r > 0, ...) does
         with np.errstate(invalid="ignore", divide="ignore"):
-            coef = np.divide(np.negative(slope, out=slope), dist, out=slope)
+            coef = np.divide(slope, dist, out=slope)
         mask = ws.mask[:rows]
         np.copyto(coef, 0.0, where=np.logical_not(np.greater(dist, 0.0, out=mask), out=mask))
         force = ws.term[:rows] if aligning else rate
-        np.divide(np.einsum("rsq,rsdq->rdq", coef, diff, out=force), denom, out=force)
+        # the force's minus sign goes into the divisor: a sum of negated
+        # terms is the negated sum, and x / (-y) is -(x / y), both exactly
+        np.divide(np.einsum("rsq,rsdq->rdq", coef, diff, out=force), -denom, out=force)
         if aligning:
             np.add(rate, force, out=rate)
         vr = v_nodes[lo:hi]

@@ -93,6 +93,18 @@ def rejection_subsamples(rng, n, s):
         idx[bad] = rng.integers(0, n, size=(int(bad.sum()), s))
 
 
+def write_snapshot_rows(x_hat, v_hat, path):
+    """The snapshot CSV written one row at a time: the header, then
+    "i,dim,mode,x,v" for every coefficient in C order, each float by
+    repr.  The solver's writer must produce the same bytes."""
+    n, d, m = x_hat.shape
+    idx = np.indices((n, d, m)).reshape(3, -1)
+    with open(path, "w") as fh:
+        fh.write("i,dim,mode,x_hat,v_hat\n")
+        for (i, dd, h), xv, vv in zip(idx.T, x_hat.ravel(), v_hat.ravel()):
+            fh.write(f"{i},{dd},{h},{float(xv)!r},{float(vv)!r}\n")
+
+
 def direct_rk4(x0, v0, theta, dt, n_steps, **model):
     """Classical RK4 on the N-body system at fixed theta."""
     x, v = x0.copy(), v0.copy()

@@ -155,7 +155,7 @@ def test_c04_subsampling_error_law():
 def test_c05_pde_oracle_cross_validation():
     cfg = load_config("homogeneous")
     cfg = dataclasses.replace(cfg, subsample_size=50)
-    t_oracle = _oracle_temperature(cfg)  # 801-point reference
+    t_oracle = _oracle_temperature(cfg)  # reference on the preset's 101-point velocity grid
     seeds = range(10)
     mean_abs = {}
     for n in (1000, 10000):

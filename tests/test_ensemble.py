@@ -13,7 +13,7 @@ from swarmuq.ensemble import (
 from swarmuq.errors import ConfigurationError, DimensionMismatchError
 from swarmuq.gpc import PolynomialFamily, build_basis, project, reconstruct_at, tensor_basis
 
-from oracles import bimodal_moments
+from oracles import bimodal_moments, write_snapshot_rows
 
 
 def test_bimodal_velocity_moments():
@@ -152,6 +152,24 @@ def test_snapshot_roundtrip(tmp_path):
     back2, meta2 = load_snapshot(path2)
     assert np.array_equal(back2.v_hat, ens2.v_hat)
     assert meta2["M"] == "3|2" and meta2["family"] == "legendre|legendre"
+
+
+def test_snapshot_bytes_match_per_row_writer(tmp_path):
+    # random tensors over 600 decades, with signed zeros, 1e+-300, a
+    # subnormal and non-finite values mixed in, for 1-D and 2-D states;
+    # (700, 2, 3) has 4200 rows, several blocks of the writer
+    rng = np.random.default_rng(4)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324,
+                        np.inf, -np.inf, np.nan])
+    for shape in ((7, 1, 6), (12, 2, 5), (1, 2, 1), (700, 2, 3)):
+        x_hat, v_hat = (rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+                        for _ in range(2))
+        for values in (x_hat, v_hat):
+            picks = rng.random(shape) < 0.3
+            values[picks] = rng.choice(special, size=picks.sum())
+        save_snapshot(GpcEnsemble(x_hat, v_hat), tmp_path / "fast.csv")
+        write_snapshot_rows(x_hat, v_hat, tmp_path / "loop.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_ensemble_shape_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from swarmuq.cli import available_presets, build_experiment, load_config
 from swarmuq.ensemble import GpcEnsemble, InitialCondition, evaluate_at_nodes, sample_initial
 from swarmuq.errors import ConfigurationError, IntegrationBlowupError
 from swarmuq.gpc import PolynomialFamily, build_basis, tensor_basis
@@ -417,9 +418,14 @@ def test_subsample_sets_uniform_over_all_subsets():
 
 def test_collision_light_stream_is_unchanged():
     # the regime of the mill and combined presets keeps its random stream
-    sub = draw_subsamples(np.random.default_rng(7), 2000, 10)
-    ref = rejection_subsamples(np.random.default_rng(7), 2000, 10)
-    assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
+    # up to its edge s(s-1) = n//4: with s = 10, n = 360 is the smallest
+    # collision-light size, and n = 359 takes the sorted redraw
+    for n in (2000, 360):
+        sub = draw_subsamples(np.random.default_rng(7), n, 10)
+        ref = rejection_subsamples(np.random.default_rng(7), n, 10)
+        assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
+    middle = draw_subsamples(np.random.default_rng(7), 359, 10)
+    assert middle.dtype == np.int32 and (np.diff(middle, axis=1) > 0).all()
 
 
 def test_forces_for_rows_match_allocating_reference():
@@ -462,6 +468,22 @@ def test_chunked_step_matches_one_chunk(monkeypatch):
         monkeypatch.undo()
         assert np.array_equal(chunked.x_hat, whole.x_hat)
         assert np.array_equal(chunked.v_hat, whole.v_hat)
+
+
+def test_row_chunks_fit_in_l2_for_every_preset():
+    # every (R, P, d, Q) buffer of a shipped preset's node path holds at
+    # most 1 MiB, so that the gather and the differences of a chunk share
+    # one core's 2 MiB of L2, and no less than that budget allows; a
+    # single row larger than 1 MiB is a chunk of its own
+    for name in available_presets():
+        ic, cfg = build_experiment(load_config(name))
+        ws = _Context(cfg.model).workspace(cfg.n_particles, cfg.subsample_size, ic.dim)
+        assert 1 <= ws.rows <= cfg.n_particles, name
+        q = cfg.model.basis.n_nodes
+        assert ws.diff.shape == ws.pairs.shape == (ws.rows, cfg.subsample_size, ic.dim, q), name
+        row_bytes = ws.pairs[0].nbytes
+        assert ws.pairs.nbytes <= 1 << 20 or ws.rows == 1, name
+        assert ws.pairs.nbytes + row_bytes > 1 << 20 or ws.rows == cfg.n_particles, name
 
 
 def test_runs_of_different_models_share_no_buffers():
