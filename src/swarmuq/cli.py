@@ -394,18 +394,23 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     points = list(_sweep_points(cfg, axis, values))
     if cfg.reference == "oracle" and cfg.kind != "homogeneous":
         raise ConfigurationError("the oracle reference is only available for the homogeneous experiment")
-
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.reference == "oracle":
-        reference = _oracle_temperature(cfg)
-    else:
+    ref_cfg = None
+    if cfg.reference == "particle":
         ref_order = cfg.reference_order
         if ref_order is None:
             ref_order = max(values) + 4 if axis == "M" else cfg.order
         ref_cfg = dataclasses.replace(cfg, order=ref_order, quad_points=None,
                                       subsample_size=cfg.n_particles)
-        reference = _final_temperature(ref_cfg)
+    # build every experiment and the reference problem now, so that a bad
+    # point or oracle grid fails before anything is written
+    for point_cfg in [pc for _, pc in points] + ([ref_cfg] if ref_cfg else []):
+        build_experiment(point_cfg)
+    if ref_cfg is None:
+        _oracle_problem(cfg)
+
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reference = _oracle_temperature(cfg) if ref_cfg is None else _final_temperature(ref_cfg)
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         temps = list(pool.map(lambda pc: _final_temperature(pc[1]), points))
     with open(out_dir / "errors.csv", "w") as fh:

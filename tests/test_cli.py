@@ -1,8 +1,14 @@
 import configparser
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmuq
 from swarmuq.cli import (
     available_presets,
     build_experiment,
@@ -315,6 +321,17 @@ def test_converge_rejects_bad_sweeps(tmp_path, capsys):
     assert exc.value.code == 2
     assert not (tmp_path / "x").exists()
     assert "--threads" in capsys.readouterr().err
+    # a bad point after a good one fails before the reference solve and the mkdir
+    small = _write(tmp_path, MINI_HOMOGENEOUS.replace("N = 500\nS = 500", "N = 200\nS = 200"),
+                   name="small.cfg", out=str(tmp_path / "y"))
+    for bad in ("S=10,500", "N=0,100", "M=0,-1"):
+        assert cmd_converge(str(small), sweep=bad) == 2
+        assert not (tmp_path / "y").exists()
+    # so does an oracle reference on a grid of too few points
+    text = MINI_HOMOGENEOUS.replace("points = 101", "points = 2").replace("= particle", "= oracle")
+    oracle = _write(tmp_path, text, name="oracle.cfg", out=str(tmp_path / "z"))
+    assert cmd_converge(str(oracle), sweep="M=2") == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_cli_main_entrypoint(tmp_path):
@@ -344,3 +361,62 @@ def test_2d_run_emits_velocity_field(tmp_path):
     assert "density_position.pgm" in names
     pgm = (out / "density_position.pgm").read_text().splitlines()
     assert pgm[0] == "P2" and pgm[2] == "255"
+
+
+MINI_MILL = """
+[experiment]
+kind = mill_2d
+N = 100
+S = 5
+M = 2
+dt = 0.01
+t_end = 0.02
+seed = 4
+
+[output]
+dir = {out}
+"""
+
+
+def _fresh_python(tmp_path, script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this swarmuq: the
+    test process has imported scipy already."""
+    env = dict(os.environ)
+    src = str(Path(swarmuq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_scipy_loads_only_for_the_subsampled_homogeneous_mean(tmp_path):
+    mill = _write(tmp_path, MINI_MILL, name="mill.cfg", out=str(tmp_path / "mill"))
+    full = _write(tmp_path, MINI_HOMOGENEOUS, name="full.cfg", out=str(tmp_path / "full"))
+    sub = _write(tmp_path, MINI_HOMOGENEOUS.replace("S = 500", "S = 20"),
+                 name="sub.cfg", out=str(tmp_path / "sub"))
+    done = _fresh_python(tmp_path, f"""
+        import sys
+        from swarmuq.cli import cmd_run
+        assert cmd_run({str(mill)!r}) == 0 and cmd_run({str(full)!r}) == 0
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded[:5]
+        assert cmd_run({str(sub)!r}) == 0
+        assert "scipy.sparse" in sys.modules
+    """)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sub" / "ensemble_final.csv").exists()
+
+
+def test_lazy_scipy_import_in_converge_threads(tmp_path):
+    # The reference is all-to-all, so scipy.sparse is first imported by
+    # the subsampled sweep points, inside the worker threads.
+    cfg = _write(tmp_path, MINI_HOMOGENEOUS.replace("N = 500\nS = 500", "N = 200\nS = 200"),
+                 out=str(tmp_path / "unused"))
+    for threads in (3, 1):
+        done = _fresh_python(tmp_path, f"""
+            import sys
+            from swarmuq.cli import main
+            sys.exit(main(["converge", {str(cfg)!r}, "--sweep", "S=5,10,20",
+                           "--threads", "{threads}", "--out", "t{threads}"]))
+        """)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "t3" / "errors.csv").read_bytes() == (tmp_path / "t1" / "errors.csv").read_bytes()
