@@ -118,6 +118,15 @@ def _as_bool(text: str) -> bool:
         raise ValueError("choose from 1/0, true/false, yes/no, on/off") from None
 
 
+def _as_int(text: str) -> int:
+    """An integer value, written as an integer or in exponent form (1e4);
+    a fraction, an infinity or a NaN is an error."""
+    value = float(text)
+    if not value.is_integer():   # also False for inf and nan
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _cast_like(default):
     """How to cast a config value whose default is ``default``."""
     if isinstance(default, bool):
@@ -163,35 +172,34 @@ def load_config(path) -> ExperimentConfig:
         return {key: value for key, cast in casts.items()
                 if (value := get(section, key, None, cast)) is not None}
 
-    as_int = lambda s: int(float(s))
     kind = get("experiment", "kind", cast=_one_of(*EXPERIMENTS))
     default_ic, model_defaults = EXPERIMENTS[kind]
     ic_kind = get("initial", "kind", default_ic, lambda s: ICKind(s).value)
     ic_signature = inspect.signature(getattr(InitialCondition, ic_kind))
     cfg = ExperimentConfig(
         kind=kind,
-        n_particles=get("experiment", "N", cast=as_int),
-        subsample_size=get("experiment", "S", cast=as_int),
-        order=get("experiment", "M", cast=as_int),
-        quad_points=get("experiment", "Q", None, as_int),
+        n_particles=get("experiment", "N", cast=_as_int),
+        subsample_size=get("experiment", "S", cast=_as_int),
+        order=get("experiment", "M", cast=_as_int),
+        quad_points=get("experiment", "Q", None, _as_int),
         dt=get("experiment", "dt", cast=float),
         t_end=get("experiment", "t_end", cast=float),
-        seed=get("experiment", "seed", 0, as_int),
+        seed=get("experiment", "seed", 0, _as_int),
         family=get("experiment", "family", "legendre", lambda s: PolynomialFamily(s.lower()).value),
         model_params=given("model", {key: _cast_like(value) for key, value in model_defaults.items()}),
         ic_kind=ic_kind,
         ic_params=given("initial", {name: _cast_like(param.default)
                                     for name, param in ic_signature.parameters.items()}),
         out_dir=get("output", "dir", "out"),
-        stride=get("output", "stride", 1, as_int),
+        stride=get("output", "stride", 1, _as_int),
         grid_min=get("output", "grid_min", -2.0, float),
         grid_max=get("output", "grid_max", 2.0, float),
-        grid_bins=get("output", "grid_bins", 50, as_int),
+        grid_bins=get("output", "grid_bins", 50, _as_int),
         pgm=get("output", "pgm", False, _as_bool),
         integrator=get("experiment", "integrator", "rk4"),
         reference=get("converge", "reference", "particle", _one_of("particle", "oracle")),
-        reference_order=get("converge", "reference_order", None, as_int),
-        oracle_points=get("oracle", "points", 801, as_int),
+        reference_order=get("converge", "reference_order", None, _as_int),
+        oracle_points=get("oracle", "points", 801, _as_int),
         oracle_v_min=get("oracle", "v_min", -2.0, float),
         oracle_v_max=get("oracle", "v_max", 2.0, float),
         source=str(candidate),
@@ -386,7 +394,7 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     axis, _, raw_values = sweep.partition("=")
     axis = axis.strip().upper()
     try:
-        values = [int(float(v)) for v in raw_values.split(",") if v.strip()]
+        values = [_as_int(v) for v in raw_values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"bad sweep values {raw_values!r}") from exc
     if not values:

@@ -27,23 +27,24 @@ zero.
 
 Memory: ``run`` builds one ``_Context`` per run, and its workspace holds
 every array of the node path, reused by all stages of all steps: the
-(N, d, Q) node values of x and v, the (R, P, d, Q) partner gather and
-pair differences, the (R, P, Q) squared distances, distances, kernel
-values and masks, and the (R, d, Q) and (R, d, m) rates, for a row chunk
-of R particles with P partners (S, or N without subsampling).  R is
-sized for the cache, not for memory: each (R, P, d, Q) buffer holds
-about 1 MiB (``_CHUNK_BUDGET``), so the gather and the differences of a
-chunk stay in one core's L2 while the distance, kernel and contraction
-passes reread them; one chunk of all N rows (8 MB per buffer for
-combined_2d_desk) would stream every pass through main memory.  Still
-allocated per step are the subsample table and, for the homogeneous
-shortcut with a subsample, its (N, N) CSR mean matrix; per stage, the
-(N, d, m) stage state and modal rate, and the deterministic shortcut's
-order-0 slices.  The CSR matrix is the only use of scipy: the function
-that builds it imports scipy.sparse, so every other run starts without
-scipy.  Keeping its ``data`` and ``indptr`` for the whole run saved
-about 0.03 s of a 2 s homogeneous_dense run but raised its peak RSS by
-1.4 MB, so they are rebuilt with the matrix each step.
+(N, d, Q) node values of x and v, the (R, P, d, Q) partner differences
+(x_j - x_i, then v_j - v_i, written in place over the gathered
+partners), the (R, P, Q) squared distances, distances, alignment
+kernel, Morse coefficients and masks, and the (R, d, Q) and (R, d, m)
+rates, for a row chunk of R particles with P partners (S, or N without
+subsampling).  R is sized for the cache, not for memory: the
+(R, P, d, Q) buffer holds about 1 MiB (``_CHUNK_BUDGET``), so it stays
+in one core's L2 while the distance, kernel and contraction passes
+reread it; one chunk of all N rows (8 MB for combined_2d_desk) would
+stream every pass through main memory.  Still allocated per step are
+the subsample table and, for the homogeneous shortcut with a subsample,
+its (N, N) CSR mean matrix; per stage, the (N, d, m) stage state and
+modal rate, and the deterministic shortcut's order-0 slices.  The CSR
+matrix is the only use of scipy: the function that builds it imports
+scipy.sparse, so every other run starts without scipy.  Keeping its
+``data`` and ``indptr`` for the whole run saved about 0.03 s of a 2 s
+homogeneous_dense run but raised its peak RSS by 1.4 MB, so they are
+rebuilt with the matrix each step.
 """
 from __future__ import annotations
 
@@ -62,9 +63,9 @@ from .models import (
 )
 from .timegrid import time_steps
 
-# Elements of one (R, P, d, Q) buffer: 1 MiB of float64, so that the
-# partner gather and the pair differences of a row chunk fit together in
-# one core's 2 MiB share of L2.  A row larger than this is one chunk.
+# Elements of the (R, P, d, Q) partner buffer: 1 MiB of float64, so that
+# it and the (R, P, Q) arrays of a row chunk fit together in one core's
+# 2 MiB share of L2.  A row larger than this is one chunk.
 _CHUNK_BUDGET = 1 << 17
 
 
@@ -139,7 +140,8 @@ class _Context:
         self.model = model
         basis = model.basis
         self.table = basis.basis_table          # (m, Q)
-        self.proj = basis.projection_matrix()   # (Q, m)
+        # (Q, m), copied from F to C order: stacked matmul calls BLAS only then
+        self.proj = np.ascontiguousarray(basis.projection_matrix())
         align = model.alignment
         self.homogeneous = align is not None and align.gamma.is_constant and align.gamma.c0 == 0.0
         if align is not None:
@@ -181,11 +183,11 @@ class _Workspace:
         rows = self.rows
         self.x_nodes = np.empty((n, d, q))              # x_hat @ table
         self.v_nodes = np.empty((n, d, q))
-        self.pairs = np.empty((rows, partners, d, q))   # partner gather, then v_j - v_i
-        self.diff = np.empty((rows, partners, d, q))    # x_i - x_j
+        self.pairs = np.empty((rows, partners, d, q))   # x_j - x_i, then v_j - v_i
         self.r_sq = np.empty((rows, partners, q))       # also the Morse repulsion term
         self.r = np.empty((rows, partners, q))
-        self.kernel = np.empty((rows, partners, q))     # alignment h, then the Morse coefficient
+        self.kernel = np.empty((rows, partners, q))     # alignment h
+        self.coef = np.empty((rows, partners, q))       # Morse slope / r
         self.mask = np.empty((rows, partners, q), dtype=bool)  # not r > 0
         self.rate = np.empty((rows, d, q))
         self.term = np.empty((rows, d, q))
@@ -289,6 +291,14 @@ def _subsample_mean_matrix(sub: np.ndarray, n: int):
     return sparse.csr_matrix((data, sub.ravel(), indptr), shape=(rows, n))
 
 
+def _contract(w, pairs, out):
+    """out[r, k, q] = sum over s of w[r, s, q] * pairs[r, s, k, q], one einsum
+    per dimension k: faster than one einsum over the strided d axis."""
+    for k in range(pairs.shape[2]):
+        np.einsum("rsq,rsq->rq", w, pairs[:, :, k], out=out[:, k])
+    return out
+
+
 def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws) -> np.ndarray:
     """Modal velocity rate of particle rows lo:hi, excluding the
     factorized homogeneous-alignment shortcut (handled by the caller).
@@ -297,32 +307,25 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws) -> np.ndarray:
     intermediate is written into the workspace ``ws``, and the result is
     a view of it, valid until the next call.
     """
-    model = ctx.model
+    model, morse = ctx.model, ctx.model.morse
     rows = hi - lo
-    xi = x_nodes[lo:hi, None]                         # (R, 1, d, Q)
-    vi = v_nodes[lo:hi, None]
-    pairs, diff, rate = ws.pairs[:rows], ws.diff[:rows], ws.rate[:rows]
-    if sub is None:
-        xj, denom = x_nodes[None], x_nodes.shape[0]   # (1, N, d, Q)
-    else:
+    pairs, rate = ws.pairs[:rows], ws.rate[:rows]
+    denom = x_nodes.shape[0] if sub is None else sub.shape[1]
+
+    def partner_differences(nodes):   # pairs[r, s] = nodes[partner s of lo + r] - nodes[lo + r]
         # indices come from draw_subsamples; "clip" avoids the buffered copy of "raise"
-        xj = np.take(x_nodes, sub[lo:hi], axis=0, out=pairs, mode="clip")  # (R, S, d, Q)
-        denom = sub.shape[1]
-    np.subtract(xi, xj, out=diff)
-    r_sq = np.einsum("rsdq,rsdq->rsq", diff, diff, out=ws.r_sq[:rows])  # (R, S|N, Q)
+        nodes_j = nodes[None] if sub is None else np.take(nodes, sub[lo:hi], axis=0, out=pairs, mode="clip")
+        return np.subtract(nodes_j, nodes[lo:hi, None], out=pairs)   # (R, S|N, d, Q)
+
+    partner_differences(x_nodes)   # x_j - x_i, kept until the Morse force has read it
+    r_sq = np.einsum("rsdq,rsdq->rsq", pairs, pairs, out=ws.r_sq[:rows])  # (R, S|N, Q)
     aligning = model.alignment is not None and not ctx.homogeneous
     if aligning:
-        if sub is None:
-            np.subtract(v_nodes[None], vi, out=pairs)
-        else:
-            np.subtract(np.take(v_nodes, sub[lo:hi], axis=0, out=pairs, mode="clip"), vi, out=pairs)
         h = alignment_kernel(ctx.k_nodes, ctx.g_nodes, r_sq, out=ws.kernel[:rows])
-        np.divide(np.einsum("rsq,rsdq->rdq", h, pairs, out=rate), denom, out=rate)
-    if model.morse is not None:
-        morse = model.morse
+    if morse is not None:
         dist = np.sqrt(r_sq, out=ws.r[:rows])
         slope = morse_radial_slope(ctx.ca_nodes, ctx.cr_nodes, morse.ell_A, morse.ell_R, dist,
-                                   out=ws.kernel[:rows], work=r_sq)
+                                   out=ws.coef[:rows], work=r_sq)
         # self pairs (and coincident particles) have r == 0 exactly and
         # contribute no force, matching the pair sum that skips j == i;
         # a NaN distance also gives zero, as np.where(r > 0, ...) does
@@ -330,12 +333,15 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws) -> np.ndarray:
             coef = np.divide(slope, dist, out=slope)
         mask = ws.mask[:rows]
         np.copyto(coef, 0.0, where=np.logical_not(np.greater(dist, 0.0, out=mask), out=mask))
+        # -sum coef * (x_i - x_j) / denom is sum coef * (x_j - x_i) / denom
+        # bit for bit, since IEEE negation commutes with rounding
         force = ws.term[:rows] if aligning else rate
-        # the force's minus sign goes into the divisor: a sum of negated
-        # terms is the negated sum, and x / (-y) is -(x / y), both exactly
-        np.divide(np.einsum("rsq,rsdq->rdq", coef, diff, out=force), -denom, out=force)
-        if aligning:
+        np.divide(_contract(coef, pairs, force), denom, out=force)
+    if aligning:
+        np.divide(_contract(h, partner_differences(v_nodes), rate), denom, out=rate)  # v_j - v_i
+        if morse is not None:
             np.add(rate, force, out=rate)
+    if morse is not None:
         vr = v_nodes[lo:hi]
         propulsion = np.einsum("rdq,rdq->rq", vr, vr, out=ws.speed_sq[:rows])
         propulsion = np.subtract(morse.a, np.multiply(morse.b, propulsion, out=propulsion), out=propulsion)

@@ -172,6 +172,23 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
         assert cmd_run(str(_write(tmp_path, text, name="value.cfg", out=str(out)))) == 2, key
         assert not out.exists()
         assert key in capsys.readouterr().err
+    # every integer key takes an integral finite value, written as an
+    # integer or in exponent form, and nothing else
+    assert load_config(_write(tmp_path, MINI_CONFIG.replace("N = 200", "N = 2e2"),
+                              name="exponent.cfg", out=str(out))).n_particles == 200
+    for value in ("inf", "-inf", "nan", "1e400", "2.5"):
+        for text, key in ((MINI_CONFIG.replace("N = 200", f"N = {value}"), "N"),
+                          (MINI_CONFIG.replace("S = 5", f"S = {value}"), "S"),
+                          (MINI_CONFIG.replace("M = 3", f"M = {value}"), "M"),
+                          (MINI_CONFIG.replace("seed = 7", f"seed = 7\nQ = {value}"), "Q"),
+                          (MINI_CONFIG.replace("seed = 7", f"seed = {value}"), "seed"),
+                          (MINI_CONFIG.replace("stride = 5", f"stride = {value}"), "stride"),
+                          (MINI_CONFIG.replace("stride = 5", f"stride = 5\ngrid_bins = {value}"), "grid_bins"),
+                          (MINI_CONFIG + f"\n[converge]\nreference_order = {value}\n", "reference_order"),
+                          (MINI_CONFIG + f"\n[oracle]\npoints = {value}\n", "points")):
+            assert cmd_run(str(_write(tmp_path, text, name="int.cfg", out=str(out)))) == 2, (key, value)
+            assert not out.exists()
+            assert f"] {key}: " in capsys.readouterr().err, (key, value)
 
 
 def test_misspelled_model_key_exits_2(tmp_path, capsys):
@@ -315,6 +332,8 @@ def test_converge_rejects_bad_sweeps(tmp_path, capsys):
     assert cmd_converge(str(cfg_path), sweep="Z=1,2") == 2
     assert cmd_converge(str(cfg_path), sweep="M=") == 2
     assert cmd_converge(str(cfg_path), sweep="M=a,b") == 2
+    for bad in ("S=inf", "S=2.5", "N=nan", "M=1e400", "M=2,-inf"):
+        assert cmd_converge(str(cfg_path), sweep=bad) == 2, bad
     # a worker pool of no threads fails in argparse, before the reference solve
     with pytest.raises(SystemExit) as exc:
         main(["converge", str(cfg_path), "--sweep", "S=5", "--threads", "-1"])

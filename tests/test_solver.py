@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,30 @@ def test_forces_for_rows_match_allocating_reference():
                 assert np.array_equal(got, want)
 
 
+def test_node_path_makes_no_pair_sized_temporary():
+    # a warm stage of the node path allocates its (N, d, m) modal rate and
+    # small iterator buffers, but no temporary of pair size: one (R, P, Q)
+    # array of the workspace is about 0.5 MiB and one (R, P, d, Q) array
+    # 1 MiB, for the desk presets' subsamples and for all-to-all
+    for name in ("mill_2d_desk", "combined_2d_desk"):
+        ic, cfg = build_experiment(load_config(name))
+        ctx = _Context(cfg.model)
+        ens = sample_initial(ic, cfg.n_particles, 1, cfg.model.basis.n_modes)
+        for n, sub in ((cfg.n_particles, draw_subsamples(np.random.default_rng(2), cfg.n_particles,
+                                                         cfg.subsample_size)),
+                       (200, None)):
+            x_hat, v_hat = ens.x_hat[:n], ens.v_hat[:n]
+            _velocity_rate_full(x_hat, v_hat, sub, None, ctx)   # builds the workspace
+            ws = ctx.workspace(n, n if sub is None else sub.shape[1], ic.dim)
+            tracemalloc.start()
+            try:
+                _velocity_rate_full(x_hat, v_hat, sub, None, ctx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < v_hat.nbytes + ws.r_sq.nbytes // 2, (name, n, peak)
+
+
 def test_chunked_step_matches_one_chunk(monkeypatch):
     # a budget of 13 rows splits 40 particles into chunks of 13, 13, 13, 1
     n, s, rows = 40, 5, 13
@@ -471,16 +496,17 @@ def test_chunked_step_matches_one_chunk(monkeypatch):
 
 
 def test_row_chunks_fit_in_l2_for_every_preset():
-    # every (R, P, d, Q) buffer of a shipped preset's node path holds at
-    # most 1 MiB, so that the gather and the differences of a chunk share
-    # one core's 2 MiB of L2, and no less than that budget allows; a
-    # single row larger than 1 MiB is a chunk of its own
+    # the partner buffer, the node path's only (R, P, d, Q) array, holds
+    # at most 1 MiB for every shipped preset, so that it and the chunk's
+    # (R, P, Q) arrays share one core's 2 MiB of L2, and no less than that
+    # budget allows; a single row larger than 1 MiB is a chunk of its own
     for name in available_presets():
         ic, cfg = build_experiment(load_config(name))
         ws = _Context(cfg.model).workspace(cfg.n_particles, cfg.subsample_size, ic.dim)
         assert 1 <= ws.rows <= cfg.n_particles, name
         q = cfg.model.basis.n_nodes
-        assert ws.diff.shape == ws.pairs.shape == (ws.rows, cfg.subsample_size, ic.dim, q), name
+        assert ws.pairs.shape == (ws.rows, cfg.subsample_size, ic.dim, q), name
+        assert [key for key, value in vars(ws).items() if np.ndim(value) == 4] == ["pairs"], name
         row_bytes = ws.pairs[0].nbytes
         assert ws.pairs.nbytes <= 1 << 20 or ws.rows == 1, name
         assert ws.pairs.nbytes + row_bytes > 1 << 20 or ws.rows == cfg.n_particles, name
