@@ -26,14 +26,25 @@ deterministic state updates mode 0 only, keeping higher modes at exact
 zero.
 
 Memory: ``run`` builds one ``_Context`` per run, and its workspace holds
-every array of the node path, reused by all stages of all steps: the
-(N, d, Q) node values of x and v, the (R, P, d, Q) partner differences
-(x_j - x_i, then v_j - v_i, written in place over the gathered
-partners), the (R, P, Q) squared distances, distances, alignment
-kernel, Morse coefficients and masks, and the (R, d, Q) and (R, d, m)
-rates, for a row chunk of R particles with P partners (S, or N without
-subsampling).  R is sized for the cache, not for memory: the
-(R, P, d, Q) buffer holds about 1 MiB (``_CHUNK_BUDGET``), so it stays
+every array of the node path, reused by all stages of all steps.  Arrays
+with a dimension axis are stored dimension-first: the (d, N, Q) node
+values of x and v and velocity rate, and, for a row chunk of R particles
+with P partners each (S, or N without subsampling), the (d, R, P, Q)
+partner differences (x_j - x_i, then v_j - v_i, written in place over
+the gathered partners) and the (d, R, Q) Morse force and propulsion
+term; the chunk's (R, P, Q) squared distances, distances, alignment
+kernel, Morse coefficients and masks have no dimension axis.  So the
+reconstruction is one (N, m) @ (m, Q) product per dimension, and the
+projection, after the last chunk, one (N, Q) @ (Q, m) product per
+dimension written straight into the modal rate, in place of one small
+product per particle; the distance and contraction passes read
+contiguous (R, P, Q) slices.  The projection runs per stage, not per
+chunk, because BLAS rounds a row of a product differently with the
+number of rows around it, and the result must not depend on the chunk
+size.  A chunk's view of a (d, R, ...) buffer is a prefix of its flat
+memory (``_rows_of``), not the strided buf[:, :R], into which np.take
+would buffer a copy.  R is sized for the cache, not for memory: the
+(d, R, P, Q) buffer holds about 1 MiB (``_CHUNK_BUDGET``), so it stays
 in one core's L2 while the distance, kernel and contraction passes
 reread it; one chunk of all N rows (8 MB for combined_2d_desk) would
 stream every pass through main memory.  Still allocated per step are
@@ -48,6 +59,7 @@ rebuilt with the matrix each step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +75,7 @@ from .models import (
 )
 from .timegrid import time_steps
 
-# Elements of the (R, P, d, Q) partner buffer: 1 MiB of float64, so that
+# Elements of the (d, R, P, Q) partner buffer: 1 MiB of float64, so that
 # it and the (R, P, Q) arrays of a row chunk fit together in one core's
 # 2 MiB share of L2.  A row larger than this is one chunk.
 _CHUNK_BUDGET = 1 << 17
@@ -128,6 +140,8 @@ class SolverConfig:
             raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
         if self.dt < 0 or (self.dt == 0 and self.t_end > 0):
             raise ConfigurationError(f"dt must be positive for t_end > 0, got dt={self.dt}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.integrator not in ("rk4", "euler"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
 
@@ -167,32 +181,42 @@ class _Context:
         """Buffers for N particles with ``partners`` partners each in d
         dimensions; rebuilt only when that shape changes."""
         if self._workspace is None or self._workspace.shape != (n, partners, d):
-            self._workspace = _Workspace(n, partners, d, *self.table.shape)
+            self._workspace = _Workspace(n, partners, d, self.table.shape[1])
         return self._workspace
 
 
 class _Workspace:
-    """Every array the node path writes, sized for the largest row chunk
-    (R rows of P partners): nothing is allocated per stage.  Unused
+    """Every array the node path writes, sized for all N rows or for the
+    largest row chunk (R rows of P partners): nothing is allocated per
+    stage but the modal rate.  Unused
     buffers cost no resident memory, since pages are mapped on first
-    write."""
+    write.  A chunk reads the (d, R, ...) buffers through ``_rows_of``
+    and the (R, ...) ones through buf[:rows], also a prefix."""
 
-    def __init__(self, n: int, partners: int, d: int, m: int, q: int):
+    def __init__(self, n: int, partners: int, d: int, q: int):
         self.shape = (n, partners, d)
         self.rows = min(n, max(1, _CHUNK_BUDGET // max(partners * d * q, 1)))
         rows = self.rows
-        self.x_nodes = np.empty((n, d, q))              # x_hat @ table
-        self.v_nodes = np.empty((n, d, q))
-        self.pairs = np.empty((rows, partners, d, q))   # x_j - x_i, then v_j - v_i
+        self.x_nodes = np.empty((d, n, q))              # x_hat @ table, per dimension
+        self.v_nodes = np.empty((d, n, q))
+        self.pairs = np.empty((d, rows, partners, q))   # x_j - x_i, then v_j - v_i
         self.r_sq = np.empty((rows, partners, q))       # also the Morse repulsion term
         self.r = np.empty((rows, partners, q))
         self.kernel = np.empty((rows, partners, q))     # alignment h
         self.coef = np.empty((rows, partners, q))       # Morse slope / r
         self.mask = np.empty((rows, partners, q), dtype=bool)  # not r > 0
-        self.rate = np.empty((rows, d, q))
-        self.term = np.empty((rows, d, q))
+        self.rate = np.empty((d, n, q))                 # projected once per stage
+        self.term = np.empty((d, rows, q))              # Morse force, then propulsion
         self.speed_sq = np.empty((rows, q))
-        self.modal = np.empty((rows, d, m))
+
+
+def _rows_of(buf, rows):
+    """The first ``rows`` rows of a dimension-first (d, R, ...) workspace
+    buffer as a contiguous array: a prefix of its flat memory.  For a
+    partial chunk the strided buf[:, :rows] is not contiguous: np.take
+    would gather into a temporary and copy it back."""
+    shape = (buf.shape[0], rows) + buf.shape[2:]
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | None:
@@ -292,33 +316,34 @@ def _subsample_mean_matrix(sub: np.ndarray, n: int):
 
 
 def _contract(w, pairs, out):
-    """out[r, k, q] = sum over s of w[r, s, q] * pairs[r, s, k, q], one einsum
-    per dimension k: faster than one einsum over the strided d axis."""
-    for k in range(pairs.shape[2]):
-        np.einsum("rsq,rsq->rq", w, pairs[:, :, k], out=out[:, k])
+    """out[k, r, q] = sum over s of w[r, s, q] * pairs[k, r, s, q], one
+    einsum per dimension k over contiguous (R, P, Q) slices."""
+    for k in range(pairs.shape[0]):
+        np.einsum("rsq,rsq->rq", w, pairs[k], out=out[k])
     return out
 
 
 def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws) -> np.ndarray:
-    """Modal velocity rate of particle rows lo:hi, excluding the
+    """Velocity rate at the nodes of particle rows lo:hi, excluding the
     factorized homogeneous-alignment shortcut (handled by the caller).
 
-    ``sub`` is the (N, S) partner table, or None for all-to-all.  Every
-    intermediate is written into the workspace ``ws``, and the result is
-    a view of it, valid until the next call.
+    ``x_nodes`` and ``v_nodes`` are the (d, N, Q) node values and ``sub``
+    the (N, S) partner table, or None for all-to-all.  Every intermediate
+    is written into the workspace ``ws``; the result is the (d, R, Q)
+    view ``ws.rate[:, lo:hi]``.
     """
     model, morse = ctx.model, ctx.model.morse
     rows = hi - lo
-    pairs, rate = ws.pairs[:rows], ws.rate[:rows]
-    denom = x_nodes.shape[0] if sub is None else sub.shape[1]
+    pairs, rate, term = _rows_of(ws.pairs, rows), ws.rate[:, lo:hi], _rows_of(ws.term, rows)
+    denom = x_nodes.shape[1] if sub is None else sub.shape[1]
 
-    def partner_differences(nodes):   # pairs[r, s] = nodes[partner s of lo + r] - nodes[lo + r]
+    def partner_differences(nodes):   # pairs[k, r, s] = nodes[k, partner s of lo + r] - nodes[k, lo + r]
         # indices come from draw_subsamples; "clip" avoids the buffered copy of "raise"
-        nodes_j = nodes[None] if sub is None else np.take(nodes, sub[lo:hi], axis=0, out=pairs, mode="clip")
-        return np.subtract(nodes_j, nodes[lo:hi, None], out=pairs)   # (R, S|N, d, Q)
+        nodes_j = nodes[:, None] if sub is None else np.take(nodes, sub[lo:hi], axis=1, out=pairs, mode="clip")
+        return np.subtract(nodes_j, nodes[:, lo:hi, None], out=pairs)   # (d, R, S|N, Q)
 
     partner_differences(x_nodes)   # x_j - x_i, kept until the Morse force has read it
-    r_sq = np.einsum("rsdq,rsdq->rsq", pairs, pairs, out=ws.r_sq[:rows])  # (R, S|N, Q)
+    r_sq = np.einsum("drsq,drsq->rsq", pairs, pairs, out=ws.r_sq[:rows])  # (R, S|N, Q)
     aligning = model.alignment is not None and not ctx.homogeneous
     if aligning:
         h = alignment_kernel(ctx.k_nodes, ctx.g_nodes, r_sq, out=ws.kernel[:rows])
@@ -335,18 +360,18 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws) -> np.ndarray:
         np.copyto(coef, 0.0, where=np.logical_not(np.greater(dist, 0.0, out=mask), out=mask))
         # -sum coef * (x_i - x_j) / denom is sum coef * (x_j - x_i) / denom
         # bit for bit, since IEEE negation commutes with rounding
-        force = ws.term[:rows] if aligning else rate
+        force = term if aligning else rate
         np.divide(_contract(coef, pairs, force), denom, out=force)
     if aligning:
         np.divide(_contract(h, partner_differences(v_nodes), rate), denom, out=rate)  # v_j - v_i
         if morse is not None:
             np.add(rate, force, out=rate)
     if morse is not None:
-        vr = v_nodes[lo:hi]
-        propulsion = np.einsum("rdq,rdq->rq", vr, vr, out=ws.speed_sq[:rows])
+        vr = v_nodes[:, lo:hi]
+        propulsion = np.einsum("drq,drq->rq", vr, vr, out=ws.speed_sq[:rows])
         propulsion = np.subtract(morse.a, np.multiply(morse.b, propulsion, out=propulsion), out=propulsion)
-        np.add(rate, np.multiply(propulsion[:, None, :], vr, out=ws.term[:rows]), out=rate)
-    return np.matmul(rate, ctx.proj, out=ws.modal[:rows])
+        np.add(rate, np.multiply(propulsion, vr, out=term), out=rate)
+    return rate
 
 
 def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
@@ -362,13 +387,19 @@ def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
         if ctx.model.morse is None:
             return dv
     else:
-        dv = np.zeros_like(v_hat)
+        dv = np.empty_like(v_hat)   # every row is written below
     ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
-    x_nodes = np.matmul(x_hat, ctx.table, out=ws.x_nodes)
-    v_nodes = np.matmul(v_hat, ctx.table, out=ws.v_nodes)
+    # one (N, m) @ (m, Q) product per dimension, not N stacked (d, m) @ (m, Q) ones
+    x_nodes = np.matmul(x_hat.transpose(1, 0, 2), ctx.table, out=ws.x_nodes)
+    v_nodes = np.matmul(v_hat.transpose(1, 0, 2), ctx.table, out=ws.v_nodes)
     for lo in range(0, n, ws.rows):
-        hi = min(n, lo + ws.rows)
-        dv[lo:hi] += _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws)
+        _forces_for_rows(lo, min(n, lo + ws.rows), x_nodes, v_nodes, sub, ctx, ws)
+    # one (N, Q) @ (Q, m) product per dimension, after the last chunk: its
+    # rows round alike whatever the chunk size
+    if ctx.homogeneous:
+        dv += np.matmul(ws.rate, ctx.proj).transpose(1, 0, 2)
+    else:
+        np.matmul(ws.rate, ctx.proj, out=dv.transpose(1, 0, 2))
     return dv
 
 

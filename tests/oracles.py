@@ -49,25 +49,26 @@ def morse_potential(c_a, c_r, ell_a, ell_r, r):
 
 
 def forces_for_rows(rows, x_nodes, v_nodes, sub, ctx):
-    """Modal velocity rate of the given rows, written as whole-array
-    expressions that allocate every intermediate.  It is the solver's
-    node-path arithmetic operation for operation, so the solver's
-    in-place evaluation must match it bit for bit.  ``ctx`` supplies the
-    node values of the parameters and the projection."""
+    """(d, R, Q) velocity rate at the nodes of the given rows, written as
+    whole-array expressions that allocate every intermediate.  It is the
+    solver's node-path arithmetic operation for operation, so the
+    solver's in-place evaluation must match it bit for bit.  ``x_nodes``
+    and ``v_nodes`` are (d, N, Q) node values; ``ctx`` supplies the node
+    values of the parameters."""
     model = ctx.model
-    n = x_nodes.shape[0]
-    xi = x_nodes[rows][:, None]
-    vi = v_nodes[rows][:, None]
+    n = x_nodes.shape[1]
+    xi = x_nodes[:, rows][:, :, None]
+    vi = v_nodes[:, rows][:, :, None]
     if sub is None:
-        xj, vj, denom = x_nodes[None, :], v_nodes[None, :], n
+        xj, vj, denom = x_nodes[:, None], v_nodes[:, None], n
     else:
-        xj, vj, denom = x_nodes[sub[rows]], v_nodes[sub[rows]], sub.shape[1]
+        xj, vj, denom = x_nodes[:, sub[rows]], v_nodes[:, sub[rows]], sub.shape[1]
     diff = xi - xj
-    r_sq = np.einsum("rsdq,rsdq->rsq", diff, diff)
+    r_sq = np.einsum("drsq,drsq->rsq", diff, diff)
     rate_nodes = 0.0
     if model.alignment is not None and not ctx.homogeneous:
         h = ctx.k_nodes / (1.0 + r_sq) ** ctx.g_nodes
-        rate_nodes = np.einsum("rsq,rsdq->rdq", h, vj - vi) / denom
+        rate_nodes = np.einsum("rsq,drsq->drq", h, vj - vi) / denom
     if model.morse is not None:
         morse = model.morse
         la, lr = morse.ell_A, morse.ell_R
@@ -75,10 +76,11 @@ def forces_for_rows(rows, x_nodes, v_nodes, sub, ctx):
         slope = (ctx.ca_nodes / la) * np.exp(-r / la) - (ctx.cr_nodes / lr) * np.exp(-r / lr)
         with np.errstate(invalid="ignore", divide="ignore"):
             coef = np.where(r > 0.0, -slope / r, 0.0)
-        rate_nodes = rate_nodes + np.einsum("rsq,rsdq->rdq", coef, diff) / denom
-        speed_sq = np.einsum("rdq,rdq->rq", v_nodes[rows], v_nodes[rows])
-        rate_nodes = rate_nodes + (morse.a - morse.b * speed_sq[:, None, :]) * v_nodes[rows]
-    return rate_nodes @ ctx.proj
+        rate_nodes = rate_nodes + np.einsum("rsq,drsq->drq", coef, diff) / denom
+        vr = v_nodes[:, rows]
+        speed_sq = np.einsum("drq,drq->rq", vr, vr)
+        rate_nodes = rate_nodes + (morse.a - morse.b * speed_sq) * vr
+    return rate_nodes
 
 
 def rejection_subsamples(rng, n, s):

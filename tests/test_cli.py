@@ -189,6 +189,12 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
             assert cmd_run(str(_write(tmp_path, text, name="int.cfg", out=str(out)))) == 2, (key, value)
             assert not out.exists()
             assert f"] {key}: " in capsys.readouterr().err, (key, value)
+    # a negative seed fails in run and in converge, not inside the RNG
+    negative = _write(tmp_path, MINI_CONFIG.replace("seed = 7", "seed = -1"), name="seed.cfg", out=str(out))
+    assert cmd_run(str(negative)) == 2
+    assert cmd_converge(str(negative), sweep="S=5") == 2
+    assert not out.exists()
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
 
 def test_misspelled_model_key_exits_2(tmp_path, capsys):
@@ -369,6 +375,10 @@ def test_cli_main_entrypoint(tmp_path):
             main(["run", str(cfg_path), "--out", str(other), "--threads", threads])
         assert exc.value.code == 2
         assert not other.exists()
+    # so does a negative --seed, for run and converge
+    assert main(["run", str(cfg_path), "--out", str(other), "--seed", "-3"]) == 2
+    assert main(["converge", str(cfg_path), "--sweep", "S=5", "--out", str(other), "--seed", "-3"]) == 2
+    assert not other.exists()
 
 
 def test_2d_run_emits_velocity_field(tmp_path):

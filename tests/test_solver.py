@@ -370,6 +370,8 @@ def test_solver_config_validation():
         SolverConfig(n_particles=10, dt=0.01, t_end=1.0, subsample_size=5, seed=0, model=spec,
                      integrator="verlet")
     with pytest.raises(ConfigurationError):
+        SolverConfig(n_particles=10, dt=0.01, t_end=1.0, subsample_size=5, seed=-1, model=spec)
+    with pytest.raises(ConfigurationError):
         ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 2))
 
 
@@ -432,7 +434,9 @@ def test_collision_light_stream_is_unchanged():
 def test_forces_for_rows_match_allocating_reference():
     # the workspace path against the whole-array reference on random chaos
     # states, with particles 0 and 1 coincident (r = 0 at every node), for
-    # a subsample table and for all-to-all (sub is None)
+    # a subsample table and for all-to-all (sub is None); the modal rate is
+    # the reference's node rates of all rows through the per-dimension
+    # (N, Q) @ (Q, m) projection
     rng = np.random.default_rng(21)
     homogeneous_mill = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 3),
                                  alignment=CuckerSmaleParams(K="1+0.5*theta", gamma="0.0"),
@@ -445,19 +449,24 @@ def test_forces_for_rows_match_allocating_reference():
         x_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
         v_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
         x_hat[1] = x_hat[0]
-        x_nodes, v_nodes = x_hat @ ctx.table, v_hat @ ctx.table
+        x_nodes = x_hat.transpose(1, 0, 2) @ ctx.table   # (d, N, Q)
+        v_nodes = v_hat.transpose(1, 0, 2) @ ctx.table
         for sub in (draw_subsamples(rng, n, 4), None):
             ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
             for lo, hi in ((0, n), (3, 7)):
                 got = _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws)
                 want = forces_for_rows(np.arange(lo, hi), x_nodes, v_nodes, sub, ctx)
                 assert np.array_equal(got, want)
+            if not ctx.homogeneous:
+                want = np.matmul(forces_for_rows(np.arange(n), x_nodes, v_nodes, sub, ctx), ctx.proj)
+                got = _velocity_rate_full(x_hat, v_hat, sub, None, ctx)
+                assert np.array_equal(got, want.transpose(1, 0, 2))
 
 
 def test_node_path_makes_no_pair_sized_temporary():
     # a warm stage of the node path allocates its (N, d, m) modal rate and
     # small iterator buffers, but no temporary of pair size: one (R, P, Q)
-    # array of the workspace is about 0.5 MiB and one (R, P, d, Q) array
+    # array of the workspace is about 0.5 MiB and one (d, R, P, Q) array
     # 1 MiB, for the desk presets' subsamples and for all-to-all
     for name in ("mill_2d_desk", "combined_2d_desk"):
         ic, cfg = build_experiment(load_config(name))
@@ -495,8 +504,34 @@ def test_chunked_step_matches_one_chunk(monkeypatch):
         assert np.array_equal(chunked.v_hat, whole.v_hat)
 
 
+def test_node_path_reads_no_stale_workspace(monkeypatch):
+    # every workspace buffer filled with NaN (masks with True) before a
+    # warm stage: the result must equal that of a fresh context bit for
+    # bit, for a subsample table and for all-to-all, with a budget of 13
+    # rows that leaves a partial last chunk of 1 row of 40
+    n, s, rows = 40, 5, 13
+    ic = InitialCondition.annulus_rotating_2d()
+    for spec in (_mill_spec(), _combined_spec()):
+        ens = sample_initial(ic, n, 3, spec.basis.n_modes)
+        q = spec.basis.n_nodes
+        for sub in (draw_subsamples(np.random.default_rng(4), n, s), None):
+            partners = n if sub is None else s
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", rows * partners * 2 * q)
+            want = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, _Context(spec))
+            ctx = _Context(spec)
+            _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
+            ws = ctx.workspace(n, partners, 2)
+            assert ws.rows == rows and n % rows != 0
+            buffers = [value for value in vars(ws).values() if isinstance(value, np.ndarray)]
+            for buf in buffers:
+                buf.fill(True if buf.dtype == bool else np.nan)
+            got = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
+            assert np.array_equal(got, want)
+            monkeypatch.undo()
+
+
 def test_row_chunks_fit_in_l2_for_every_preset():
-    # the partner buffer, the node path's only (R, P, d, Q) array, holds
+    # the partner buffer, the node path's only (d, R, P, Q) array, holds
     # at most 1 MiB for every shipped preset, so that it and the chunk's
     # (R, P, Q) arrays share one core's 2 MiB of L2, and no less than that
     # budget allows; a single row larger than 1 MiB is a chunk of its own
@@ -505,9 +540,9 @@ def test_row_chunks_fit_in_l2_for_every_preset():
         ws = _Context(cfg.model).workspace(cfg.n_particles, cfg.subsample_size, ic.dim)
         assert 1 <= ws.rows <= cfg.n_particles, name
         q = cfg.model.basis.n_nodes
-        assert ws.pairs.shape == (ws.rows, cfg.subsample_size, ic.dim, q), name
+        assert ws.pairs.shape == (ic.dim, ws.rows, cfg.subsample_size, q), name
         assert [key for key, value in vars(ws).items() if np.ndim(value) == 4] == ["pairs"], name
-        row_bytes = ws.pairs[0].nbytes
+        row_bytes = ws.pairs[:, 0].nbytes
         assert ws.pairs.nbytes <= 1 << 20 or ws.rows == 1, name
         assert ws.pairs.nbytes + row_bytes > 1 << 20 or ws.rows == cfg.n_particles, name
 
