@@ -17,6 +17,7 @@ import configparser
 import dataclasses
 import functools
 import inspect
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -270,9 +271,9 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[InitialCondition, SolverCon
     return ic, solver_cfg
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, command: str, threads: int | None,
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig, command: str, threads: int,
                     extra: dict | None = None) -> None:
-    lines = [f"swarmuq_version={__version__}", f"command={command}", f"threads={threads or 1}"]
+    lines = [f"swarmuq_version={__version__}", f"command={command}", f"threads={threads}"]
     for fld in dataclasses.fields(cfg):
         value = getattr(cfg, fld.name)
         if isinstance(value, dict):
@@ -334,16 +335,27 @@ def _exit_code(command):
     return guarded
 
 
+def _run_threads(threads: int | None) -> int:
+    """Worker count of ``run``: ``threads``, or every usable core when it
+    is None, and never more than the usable cores."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    return cores if threads is None else min(threads, cores)
+
+
 @_exit_code
 def cmd_run(config_path, out: str | None = None, seed: int | None = None,
             threads: int | None = None) -> int:
     cfg = _configured(config_path, out, seed)
     ic, solver_cfg = build_experiment(cfg)
     basis = solver_cfg.model.basis
+    threads = _run_threads(threads)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, final = run(ic, solver_cfg, observers=[lambda e: compute_stats(e, basis)],
-                         observer_stride=cfg.stride)
+                         observer_stride=cfg.stride, threads=threads)
     write_stats_csv([stats for _, (stats,) in records], out_dir / "stats.csv")
     _emit_densities(out_dir, final, cfg)
     save_snapshot(final, out_dir / "ensemble_final.csv", basis=basis, seed=cfg.seed)
@@ -419,7 +431,8 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = _oracle_temperature(cfg) if ref_cfg is None else _final_temperature(ref_cfg)
-    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+    threads = threads or 1   # sweep points in parallel, each run on one thread
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         temps = list(pool.map(lambda pc: _final_temperature(pc[1]), points))
     with open(out_dir / "errors.csv", "w") as fh:
         fh.write("M,S,N,temperature,reference,abs_error,rel_error\n")
@@ -463,7 +476,7 @@ def cmd_oracle(config_path, out: str | None = None) -> int:
         fh.write("t,temperature\n")
         for t, temp in history:
             fh.write(f"{t!r},{temp!r}\n")
-    _write_manifest(out_dir, cfg, "oracle", None)
+    _write_manifest(out_dir, cfg, "oracle", 1)
     return 0
 
 
@@ -490,7 +503,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-            p.add_argument("--threads", type=_positive_int, default=None, help="worker pool size for sweeps")
+            p.add_argument("--threads", type=_positive_int, default=None,
+                           help="worker threads: for run, the node path's (default and limit: the usable "
+                                "cores); for converge, the sweep points run at once (default 1)")
         return p
 
     command("run", "integrate one experiment and emit artifacts")

@@ -7,6 +7,7 @@ slow"``.
 """
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from swarmuq.cli import (
     cmd_converge,
     cmd_run,
     load_config,
+    preset_path,
 )
 from swarmuq.diagnostics import (
     expected_temperature,
@@ -269,13 +271,19 @@ def test_c10_tensor_uncertainty_consistency():
 
 
 def test_c11_reproducibility(tmp_path):
+    # cs_1d_desk's 1000 rows are one chunk; 5 steps of mill_2d_desk take
+    # the node path on 4 chunks of 655 rows on one thread, and on 7 and 10
+    # chunks shared by 2 and 3 workers (at most one per usable core)
+    mill = tmp_path / "mill_short.cfg"
+    mill.write_text(preset_path("mill_2d_desk").read_text().replace("t_end = 100.0", "t_end = 0.1"))
     runs = {}
-    for label, threads in (("a", 1), ("b", 4)):
-        out = tmp_path / label
-        rc = cmd_run("cs_1d_desk", out=str(out), threads=threads)
+    for config, threads in (("cs_1d_desk", 1), ("cs_1d_desk", 4),
+                            (str(mill), 1), (str(mill), 2), (str(mill), 3)):
+        out = tmp_path / f"{Path(config).stem}_{threads}"
+        rc = cmd_run(config, out=str(out), threads=threads)
         assert rc == 0
-        runs[label] = ((out / "stats.csv").read_bytes(),
-                       (out / "ensemble_final.csv").read_bytes())
-    ok = runs["a"] == runs["b"]
+        runs.setdefault(config, set()).add(((out / "stats.csv").read_bytes(),
+                                            (out / "ensemble_final.csv").read_bytes()))
+    ok = all(len(outputs) == 1 for outputs in runs.values())
     _report(11, "bit-identical reproducibility", ok,
             "stats.csv and final snapshot identical across thread counts")

@@ -10,6 +10,7 @@ import pytest
 
 import swarmuq
 from swarmuq.cli import (
+    _run_threads,
     available_presets,
     build_experiment,
     cmd_converge,
@@ -126,6 +127,20 @@ def test_run_emits_artifacts(tmp_path):
     assert len(stats) >= 3  # header + initial + final
     manifest = (out / "manifest.txt").read_text()
     assert "swarmuq_version=" in manifest and "seed=7" in manifest
+    # without --threads, the run's worker count: every usable core
+    assert f"threads={_usable_cores()}" in manifest.splitlines()
+
+
+def _usable_cores():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def test_run_threads_resolve_to_usable_cores():
+    # the resolver alone, so that no thread is started
+    cores = _usable_cores()
+    assert _run_threads(None) == cores
+    assert _run_threads(1_000_000) == cores
+    assert _run_threads(1) == 1
 
 
 def test_run_zero_t_end_emits_initial_state_only(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from swarmuq.solver import (
     ModelSpec,
     SolverConfig,
     _Context,
+    _Workers,
     _forces_for_rows,
+    _openblas,
     _sorted_redraw,
     _subsample_mean_matrix,
     _velocity_rate_full,
@@ -349,13 +353,23 @@ def test_euler_integrator_option():
     assert abs(w1 - (1.0 - k0 * dt)) < 1e-14
 
 
-def test_blowup_raises_with_particle_info():
-    # an absurd time step makes the morse dynamics explode
+def test_blowup_raises_with_particle_info(monkeypatch):
+    # an absurd time step makes the morse dynamics explode; on 2 threads,
+    # with 4 chunks of 5 rows and warnings as errors, the overflow in the
+    # workers must be silenced as on the calling thread, whose error state
+    # numpy does not pass on to other threads.  The model is deterministic,
+    # so the steps run on the one-node order-0 rule.
     morse = MorseSwarmParams(a=10.0, b=0.001, C_A=3000.0, C_R=1.0, ell_A=100.0, ell_R=0.01)
     spec = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 1), morse=morse)
     cfg = SolverConfig(n_particles=20, dt=1e6, t_end=2e6, subsample_size=20, seed=0, model=spec)
     with pytest.raises(IntegrationBlowupError, match="particle"):
         run(InitialCondition.annulus_rotating_2d(), cfg)
+    monkeypatch.setattr(solver, "_CHUNK_BUDGET", 2 * 5 * 20 * 2)
+    assert _Context(spec, _Workers(2)).order0.workspace(20, 20, 2).rows == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError, match="particle"):
+            run(InitialCondition.annulus_rotating_2d(), cfg, threads=2)
 
 
 def test_solver_config_validation():
@@ -454,7 +468,7 @@ def test_forces_for_rows_match_allocating_reference():
         for sub in (draw_subsamples(rng, n, 4), None):
             ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
             for lo, hi in ((0, n), (3, 7)):
-                got = _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws)
+                got = _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws.chunks[0], ws.rate)
                 want = forces_for_rows(np.arange(lo, hi), x_nodes, v_nodes, sub, ctx)
                 assert np.array_equal(got, want)
             if not ctx.homogeneous:
@@ -484,11 +498,13 @@ def test_node_path_makes_no_pair_sized_temporary():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < v_hat.nbytes + ws.r_sq.nbytes // 2, (name, n, peak)
+            assert peak < v_hat.nbytes + ws.chunks[0].r_sq.nbytes // 2, (name, n, peak)
 
 
 def test_chunked_step_matches_one_chunk(monkeypatch):
-    # a budget of 13 rows splits 40 particles into chunks of 13, 13, 13, 1
+    # a budget of 13 rows per worker splits 40 particles into chunks of
+    # 13, 13, 13, 1, on 1, 2 and 3 workers and on 5, more workers than
+    # chunks; every step equals one of a single chunk on one worker
     n, s, rows = 40, 5, 13
     ic = InitialCondition.annulus_rotating_2d()
     for spec in (_mill_spec(), _combined_spec()):
@@ -496,21 +512,39 @@ def test_chunked_step_matches_one_chunk(monkeypatch):
         cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=s, seed=0, model=spec)
         whole = step(ens, cfg, np.random.default_rng(1))
         per_row = s * 2 * spec.basis.n_nodes
-        monkeypatch.setattr(solver, "_CHUNK_BUDGET", rows * per_row)
-        assert _Context(spec).workspace(n, s, 2).rows == rows
-        chunked = step(ens, cfg, np.random.default_rng(1))
-        monkeypatch.undo()
-        assert np.array_equal(chunked.x_hat, whole.x_hat)
-        assert np.array_equal(chunked.v_hat, whole.v_hat)
+        for threads in (1, 2, 3, 5):
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", threads * rows * per_row)
+            ctx = _Context(spec, _Workers(threads))
+            try:
+                ws = ctx.workspace(n, s, 2)
+                assert ws.rows == rows and len(ws.chunks) == min(threads, 4)
+                chunked = step(ens, cfg, np.random.default_rng(1), ctx=ctx)
+            finally:
+                ctx.workers.close()
+            monkeypatch.undo()
+            assert np.array_equal(chunked.x_hat, whole.x_hat), threads
+            assert np.array_equal(chunked.v_hat, whole.v_hat), threads
 
 
 def test_node_path_reads_no_stale_workspace(monkeypatch):
-    # every workspace buffer filled with NaN (masks with True) before a
-    # warm stage: the result must equal that of a fresh context bit for
-    # bit, for a subsample table and for all-to-all, with a budget of 13
-    # rows that leaves a partial last chunk of 1 row of 40
+    # every workspace buffer, those of every worker included, filled with
+    # NaN (masks with True) before a warm stage: the result must equal
+    # that of a fresh single-threaded context bit for bit, for a subsample
+    # table and for all-to-all, with a budget of 13 rows per worker that
+    # leaves a partial last chunk of 1 row of 40, on 1, 2, 3 and 5 workers;
+    # a short switch interval interleaves the workers often, so that a row
+    # left unwritten, or a buffer that two workers share, would show
     n, s, rows = 40, 5, 13
     ic = InitialCondition.annulus_rotating_2d()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _check_no_stale_workspace(monkeypatch, n, s, rows, ic)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _check_no_stale_workspace(monkeypatch, n, s, rows, ic):
     for spec in (_mill_spec(), _combined_spec()):
         ens = sample_initial(ic, n, 3, spec.basis.n_modes)
         q = spec.basis.n_nodes
@@ -518,33 +552,47 @@ def test_node_path_reads_no_stale_workspace(monkeypatch):
             partners = n if sub is None else s
             monkeypatch.setattr(solver, "_CHUNK_BUDGET", rows * partners * 2 * q)
             want = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, _Context(spec))
-            ctx = _Context(spec)
-            _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
-            ws = ctx.workspace(n, partners, 2)
-            assert ws.rows == rows and n % rows != 0
-            buffers = [value for value in vars(ws).values() if isinstance(value, np.ndarray)]
-            for buf in buffers:
-                buf.fill(True if buf.dtype == bool else np.nan)
-            got = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
-            assert np.array_equal(got, want)
+            for threads in (1, 2, 3, 5):
+                monkeypatch.setattr(solver, "_CHUNK_BUDGET", threads * rows * partners * 2 * q)
+                ctx = _Context(spec, _Workers(threads))
+                try:
+                    _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
+                    ws = ctx.workspace(n, partners, 2)
+                    assert ws.rows == rows and n % rows != 0
+                    assert len(ws.chunks) == min(threads, 4)
+                    buffers = [value for holder in [ws, *ws.chunks] for value in vars(holder).values()
+                               if isinstance(value, np.ndarray)]
+                    for buf in buffers:
+                        buf.fill(True if buf.dtype == bool else np.nan)
+                    got = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
+                finally:
+                    ctx.workers.close()
+                assert np.array_equal(got, want), threads
             monkeypatch.undo()
 
 
 def test_row_chunks_fit_in_l2_for_every_preset():
-    # the partner buffer, the node path's only (d, R, P, Q) array, holds
-    # at most 1 MiB for every shipped preset, so that it and the chunk's
-    # (R, P, Q) arrays share one core's 2 MiB of L2, and no less than that
-    # budget allows; a single row larger than 1 MiB is a chunk of its own
+    # the partner buffers, the node path's only (d, R, P, Q) arrays, hold
+    # at most 1 MiB together for every shipped preset, one per worker, so
+    # that on one worker it and the chunk's (R, P, Q) arrays share one
+    # core's 2 MiB of L2, and no less than that budget allows; a single
+    # row larger than a worker's share is a chunk of its own
     for name in available_presets():
         ic, cfg = build_experiment(load_config(name))
-        ws = _Context(cfg.model).workspace(cfg.n_particles, cfg.subsample_size, ic.dim)
-        assert 1 <= ws.rows <= cfg.n_particles, name
-        q = cfg.model.basis.n_nodes
-        assert ws.pairs.shape == (ic.dim, ws.rows, cfg.subsample_size, q), name
-        assert [key for key, value in vars(ws).items() if np.ndim(value) == 4] == ["pairs"], name
-        row_bytes = ws.pairs[:, 0].nbytes
-        assert ws.pairs.nbytes <= 1 << 20 or ws.rows == 1, name
-        assert ws.pairs.nbytes + row_bytes > 1 << 20 or ws.rows == cfg.n_particles, name
+        for threads in (1, 2):
+            ws = _Context(cfg.model, _Workers(threads)).workspace(cfg.n_particles, cfg.subsample_size,
+                                                                  ic.dim)
+            assert 1 <= ws.rows <= cfg.n_particles, name
+            assert len(ws.chunks) == min(threads, -(-cfg.n_particles // ws.rows)), name
+            q = cfg.model.basis.n_nodes
+            for chunk in ws.chunks:
+                assert chunk.pairs.shape == (ic.dim, ws.rows, cfg.subsample_size, q), name
+                assert [key for key, value in vars(chunk).items() if np.ndim(value) == 4] == ["pairs"], name
+            assert [key for key, value in vars(ws).items() if np.ndim(value) == 4] == [], name
+            pairs = ws.chunks[0].pairs
+            row_bytes = pairs[:, 0].nbytes
+            assert pairs.nbytes * threads <= 1 << 20 or ws.rows == 1, name
+            assert (pairs.nbytes + row_bytes) * threads > 1 << 20 or ws.rows == cfg.n_particles, name
 
 
 def test_runs_of_different_models_share_no_buffers():
@@ -560,3 +608,29 @@ def test_runs_of_different_models_share_no_buffers():
     _, again = run(ic, mill)
     assert np.array_equal(first.x_hat, again.x_hat)
     assert np.array_equal(first.v_hat, again.v_hat)
+
+
+def test_openblas_thread_count_restored_after_run(monkeypatch):
+    # a threaded run holds OpenBLAS at one thread while its pool exists,
+    # seen from the observers between steps, and gives back the earlier
+    # count when it returns and when it raises; the budget gives either
+    # run 4 or more row chunks on 2 workers
+    monkeypatch.setattr(solver, "_CHUNK_BUDGET", 400)
+    blas = _openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get_threads, _ = blas
+    before = get_threads()
+    ic = InitialCondition.annulus_rotating_2d()
+    cfg = SolverConfig(n_particles=40, dt=0.01, t_end=0.03, subsample_size=5, seed=2, model=_mill_spec())
+    records, _ = run(ic, cfg, observers=[lambda e: get_threads()], threads=2)
+    assert [threads for _, (threads,) in records] == [before, 1, 1, 1]
+    assert get_threads() == before
+    morse = MorseSwarmParams(a=10.0, b=0.001, C_A=3000.0, C_R=1.0, ell_A=100.0, ell_R=0.01)
+    blowup = SolverConfig(n_particles=20, dt=1e6, t_end=2e6, subsample_size=20, seed=0,
+                          model=ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 1), morse=morse))
+    seen = []
+    with pytest.raises(IntegrationBlowupError):
+        run(ic, blowup, observers=[lambda e: seen.append(get_threads())], threads=2)
+    assert seen == [before, 1]
+    assert get_threads() == before
