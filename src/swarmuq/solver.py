@@ -49,34 +49,43 @@ in one core's L2 while the distance, kernel and contraction passes
 reread it; one chunk of all N rows (8 MB for combined_2d_desk) would
 stream every pass through main memory.  Still allocated per step are
 the subsample table and, for the homogeneous shortcut with a subsample,
-its (N, N) CSR mean matrix; per stage, the (N, d, m) stage state and
-modal rate, and the deterministic shortcut's order-0 slices.  The CSR
-matrix is the only use of scipy: the function that builds it imports
-scipy.sparse, so every other run starts without scipy.  Keeping its
-``data`` and ``indptr`` for the whole run saved about 0.03 s of a 2 s
+its (N, N) CSR mean matrix, and RK4's (N, d, m) weighted sums of the
+rates, into which each stage's rates are added after their last use;
+per stage, the (N, d, m) stage state and modal rate, and the
+deterministic shortcut's order-0 slices.  The CSR matrix is the only
+use of scipy: the function that builds it imports scipy.sparse, so
+every other run starts without scipy.  Keeping its ``data`` and
+``indptr`` for the whole run saved about 0.03 s of a 2 s
 homogeneous_dense run but raised its peak RSS by 1.4 MB, so they are
 rebuilt with the matrix each step.
 
-Threads: with W workers (``run(..., threads=W)``) the row chunks of a
-stage are shared out, worker k taking chunks k, k + W, ..., on a thread
-pool that lives for one run; numpy releases the interpreter lock inside
-every pass of a chunk.  The (d, N, Q) node values and node rate are
-shared, each chunk writing only its own rows of the rate; the chunk
-buffers exist once per worker, and each worker's budget is
-``_CHUNK_BUDGET // W``, so the workspace, and with it peak memory,
-keeps its size whatever W is.  The reconstruction and the projection
-stay whole-array products on the calling thread.  A row's rate does not
-depend on the chunk that holds it, so results are bit-identical for
-every W.  While the pool runs, numpy's bundled OpenBLAS is held at one
-thread: after a threaded product its idle threads spin-wait, and on two
-cores a stage then ran at 0.8x the serial speed.  A run that never
-reaches the node path (homogeneous alignment without Morse) starts no
-pool.
+Threads: with W workers (``run(..., threads=W)``) each phase of a stage
+is shared out, worker k taking jobs k, k + W, ...: the calling thread
+is worker 0, and a pool of W - 1 threads that lives for one run holds
+the others; numpy releases the interpreter lock inside every pass and
+product.  The phases are the reconstruction, one product per dimension
+of x and of v, then the row chunks, then the projection, one product
+per dimension; each ends before the next starts.  A per-dimension
+product is the same BLAS call that a stacked matmul over the dimensions
+makes, so it rounds alike.  Products too small to outlast the handover
+to a pool thread (``_SHARED_PRODUCT_MIN``) stay on the calling thread.
+The (d, N, Q) node values and node rate are shared, each chunk writing
+only its own rows of the rate; the chunk buffers exist once per worker,
+and each worker's budget is ``_CHUNK_BUDGET // W``, so the workspace,
+and with it peak memory, keeps its size whatever W is.  A row's rate
+does not depend on the chunk that holds it, so results are
+bit-identical for every W.  While the pool runs, numpy's bundled
+OpenBLAS is held at one thread: after a threaded product its idle
+threads spin-wait, and on two cores a stage then ran at 0.8x the serial
+speed.  A stage of a single row chunk runs every phase on the calling
+thread; a run whose stages all are one chunk, or that never reaches the
+node path (homogeneous alignment without Morse), starts no pool and
+leaves OpenBLAS as it is.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -99,6 +108,15 @@ from .timegrid import time_steps
 # W workers gets 1/W of it.  A row larger than a worker's share is one
 # chunk.
 _CHUNK_BUDGET = 1 << 17
+
+# Multiply-adds of one (N, m) @ (m, Q) product of the reconstruction or
+# projection below which those products stay on the calling thread.  A
+# pool thread starts a task 60-150 us after it is handed over, and one
+# core does 2^19 multiply-adds in 40-100 us.  On 2 workers of a 2-core
+# Xeon, a stage of mill_2d_desk (10^5 per product, 20 us) took 4.32 ms
+# with its products shared and 4.09 ms without; one of combined_2d_desk
+# (2.5 * 10^6, 0.2 ms) took 14.8 and 15.9 ms.
+_SHARED_PRODUCT_MIN = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -187,10 +205,11 @@ def _openblas():
 
 
 class _Workers:
-    """The worker threads of one run.  The pool starts when a stage first
-    has row chunks for more than one worker, and OpenBLAS is held at one
-    thread from then until ``close``: after a threaded matmul its idle
-    threads spin-wait and take a core from the pool."""
+    """The worker threads of one run: the calling thread is worker 0, and
+    a pool holds the other ``count - 1``.  The pool starts when a stage
+    first has row chunks for more than one worker, and OpenBLAS is held
+    at one thread from then until ``close``: after a threaded matmul its
+    idle threads spin-wait and take a core from the workers."""
 
     def __init__(self, count: int):
         self.count = count
@@ -198,9 +217,10 @@ class _Workers:
         self._restore_blas = None
 
     def map(self, fn, tasks: int) -> None:
-        """fn(k) for k in range(tasks): on the calling thread for one
-        task, else on the pool; returns when every call has, and raises
-        the first exception in task order."""
+        """fn(k) for k in range(tasks), tasks <= count: fn(0) on the
+        calling thread, the others on the pool.  Returns when every call
+        has, and raises the first exception in task order, only after
+        every call has ended."""
         if tasks == 1:
             fn(0)
             return
@@ -211,8 +231,15 @@ class _Workers:
                 threads = get_threads()
                 set_threads(1)
                 self._restore_blas = lambda: set_threads(threads)
-            self._pool = ThreadPoolExecutor(self.count, thread_name_prefix="swarmuq-rows")
-        for future in [self._pool.submit(fn, k) for k in range(tasks)]:
+            self._pool = ThreadPoolExecutor(self.count - 1, thread_name_prefix="swarmuq-rows")
+        futures = [self._pool.submit(fn, k) for k in range(1, tasks)]
+        try:
+            fn(0)
+        finally:
+            # a raise in fn(0) leaves this block only when the pool's
+            # calls, which may still write the workspace, have ended
+            wait(futures)
+        for future in futures:
             future.result()
 
     def close(self) -> None:
@@ -237,7 +264,8 @@ class _Context:
         self.workers = _Workers(1) if workers is None else workers
         basis = model.basis
         self.table = basis.basis_table          # (m, Q)
-        # (Q, m), copied from F to C order: stacked matmul calls BLAS only then
+        # (Q, m), copied from F to C order, in which a stacked matmul calls
+        # BLAS: the per-dimension products make the same calls
         self.proj = np.ascontiguousarray(basis.projection_matrix())
         align = model.alignment
         self.homogeneous = align is not None and align.gamma.is_constant and align.gamma.c0 == 0.0
@@ -482,23 +510,36 @@ def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
     else:
         dv = np.empty_like(v_hat)   # every row is written below
     ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
-    # one (N, m) @ (m, Q) product per dimension, not N stacked (d, m) @ (m, Q) ones
-    x_nodes = np.matmul(x_hat.transpose(1, 0, 2), ctx.table, out=ws.x_nodes)
-    v_nodes = np.matmul(v_hat.transpose(1, 0, 2), ctx.table, out=ws.v_nodes)
-    tasks, errors = len(ws.chunks), np.geterr()
+    x_nodes, v_nodes, rate = ws.x_nodes, ws.v_nodes, ws.rate
+    chunks, tasks, errors = -(-n // ws.rows), len(ws.chunks), np.geterr()
+    product_tasks = tasks if n * ctx.table.size >= _SHARED_PRODUCT_MIN else 1
 
-    def worker(k):   # chunks k, k + tasks, ...: a row's rate is the same in any chunk
-        with np.errstate(**errors):   # numpy keeps the error state per thread
-            for lo in range(k * ws.rows, n, tasks * ws.rows):
-                _forces_for_rows(lo, min(n, lo + ws.rows), x_nodes, v_nodes, sub, ctx, ws.chunks[k], ws.rate)
+    def share(jobs, job, workers):   # job(i, k) for i < jobs, worker k taking i = k, k + workers, ...
+        def worker(k):
+            with np.errstate(**errors):   # numpy keeps the error state per thread
+                for i in range(k, jobs, workers):
+                    job(i, k)
 
-    ctx.workers.map(worker, tasks)
-    # one (N, Q) @ (Q, m) product per dimension, after the last chunk: its
-    # rows round alike whatever the chunk size
-    if ctx.homogeneous:
-        dv += np.matmul(ws.rate, ctx.proj).transpose(1, 0, 2)
-    else:
-        np.matmul(ws.rate, ctx.proj, out=dv.transpose(1, 0, 2))
+        ctx.workers.map(worker, min(workers, jobs))
+
+    def reconstruct(i, _):   # x, then v: one (N, m) @ (m, Q) product per dimension
+        hat, nodes = (x_hat, x_nodes) if i < d else (v_hat, v_nodes)
+        np.matmul(hat[:, i % d], ctx.table, out=nodes[i % d])
+
+    def forces(i, k):   # chunk i, in worker k's buffers: a row's rate is the same in any chunk
+        lo = i * ws.rows
+        _forces_for_rows(lo, min(n, lo + ws.rows), x_nodes, v_nodes, sub, ctx, ws.chunks[k], rate)
+
+    def project(i, _):   # one (N, Q) @ (Q, m) product per dimension, after the
+        # last chunk: its rows round alike whatever the chunk size
+        if ctx.homogeneous:
+            dv[:, i] += np.matmul(rate[i], ctx.proj)
+        else:
+            np.matmul(rate[i], ctx.proj, out=dv[:, i])
+
+    share(2 * d, reconstruct, product_tasks)
+    share(chunks, forces, tasks)
+    share(d, project, product_tasks)
     return dv
 
 
@@ -532,12 +573,26 @@ def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: floa
             x_new = x0 + dt * kx
             v_new = v0 + dt * kv
         else:
+            # k1 + 2 k2 + 2 k3 + k4 is summed stage by stage, in that order,
+            # and each k dropped after its last use, so that 5 (N, d, m)
+            # arrays are alive in stage 4, not 8.  The first sum allocates:
+            # kx1 is v0, the ensemble's own array or a view of it.
             kx1, kv1 = rhs(x0, v0)
             kx2, kv2 = rhs(x0 + 0.5 * dt * kx1, v0 + 0.5 * dt * kv1)
-            kx3, kv3 = rhs(x0 + 0.5 * dt * kx2, v0 + 0.5 * dt * kv2)
-            kx4, kv4 = rhs(x0 + dt * kx3, v0 + dt * kv3)
-            x_new = x0 + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
-            v_new = v0 + (dt / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+            sum_x, sum_v = kx1 + 2.0 * kx2, kv1 + 2.0 * kv2
+            x_in, v_in = x0 + 0.5 * dt * kx2, v0 + 0.5 * dt * kv2
+            del kx1, kv1, kx2, kv2
+            kx3, kv3 = rhs(x_in, v_in)
+            x_in, v_in = x0 + dt * kx3, v0 + dt * kv3
+            sum_x += 2.0 * kx3
+            sum_v += 2.0 * kv3
+            del kx3, kv3
+            kx4, kv4 = rhs(x_in, v_in)
+            sum_x += kx4
+            sum_v += kv4
+            del x_in, v_in, kx4, kv4
+            x_new = x0 + (dt / 6.0) * sum_x
+            v_new = v0 + (dt / 6.0) * sum_v
     if deterministic:
         pad = ((0, 0), (0, 0), (0, ens.n_modes - 1))
         x_new, v_new = np.pad(x_new, pad), np.pad(v_new, pad)

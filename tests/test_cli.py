@@ -21,6 +21,7 @@ from swarmuq.cli import (
     preset_path,
 )
 from swarmuq.errors import ConfigurationError
+from swarmuq.solver import _Context, _Workers
 
 MINI_CONFIG = """
 [experiment]
@@ -258,15 +259,23 @@ def test_homogeneous_requires_zero_gamma(tmp_path):
 
 
 def test_run_is_reproducible_across_thread_counts(tmp_path):
-    cfg_path = _write(tmp_path, MINI_CONFIG, out=str(tmp_path / "a"))
-    assert cmd_run(str(cfg_path), out=str(tmp_path / "a"), threads=1) == 0
-    assert cmd_run(str(cfg_path), out=str(tmp_path / "b"), threads=4) == 0
-    stats_a = (tmp_path / "a" / "stats.csv").read_bytes()
-    stats_b = (tmp_path / "b" / "stats.csv").read_bytes()
-    assert stats_a == stats_b
-    snap_a = (tmp_path / "a" / "ensemble_final.csv").read_bytes()
-    snap_b = (tmp_path / "b" / "ensemble_final.csv").read_bytes()
-    assert snap_a == snap_b
+    # cs_1d's stages are a single row chunk, which runs on the calling
+    # thread whatever the count; the small mill has at least 2 row chunks
+    # per stage on 2 workers (3 at the current budget), so its second run
+    # shares them out on the pool
+    mill = (MINI_MILL.replace("N = 100\nS = 5\nM = 2\n", "N = 400\nS = 20\nM = 4\n")
+            .replace("t_end = 0.02", "t_end = 0.05"))
+    mill_path = _write(tmp_path, mill, name="mill.cfg", out=str(tmp_path / "mill"))
+    ic, cfg = build_experiment(load_config(mill_path))
+    ws = _Context(cfg.model, _Workers(2)).workspace(cfg.n_particles, cfg.subsample_size, ic.dim)
+    assert -(-cfg.n_particles // ws.rows) >= 2
+    cs_path = _write(tmp_path, MINI_CONFIG, name="cs_1d.cfg", out=str(tmp_path / "cs_1d"))
+    for name, cfg_path in (("cs_1d", cs_path), ("mill", mill_path)):
+        for threads in (1, 2):
+            assert cmd_run(str(cfg_path), out=str(tmp_path / f"{name}_{threads}"), threads=threads) == 0
+        for artifact in ("stats.csv", "ensemble_final.csv"):
+            one, two = (tmp_path / f"{name}_{threads}" / artifact for threads in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), (name, artifact)
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -1,7 +1,11 @@
+import itertools
 import math
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -524,6 +528,77 @@ def test_chunked_step_matches_one_chunk(monkeypatch):
             monkeypatch.undo()
             assert np.array_equal(chunked.x_hat, whole.x_hat), threads
             assert np.array_equal(chunked.v_hat, whole.v_hat), threads
+
+
+def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
+    # the reconstruction and projection run as one product per dimension,
+    # shared by the workers or, for small products, all on the calling
+    # thread; on 4 row chunks on 1, 2 and 3 workers they equal the stacked
+    # (d, N, m) @ (m, Q) and (d, N, Q) @ (Q, m) products bit for bit, on
+    # random chaos states; the homogeneous shortcut adds the projection
+    # to its modal alignment rate
+    n, s, rows = 40, 5, 13
+    rng = np.random.default_rng(17)
+    homogeneous_mill = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 3),
+                                 alignment=CuckerSmaleParams(K="1+0.5*theta", gamma="0.0"),
+                                 morse=_mill_spec().morse)
+    for spec in (_combined_spec(), homogeneous_mill):
+        m = spec.basis.n_modes
+        x_hat = rng.normal(size=(n, 2, m)) * 0.5 ** np.arange(m)
+        v_hat = rng.normal(size=(n, 2, m)) * 0.5 ** np.arange(m)
+        sub = draw_subsamples(rng, n, s)
+        alignment_only = _velocity_rate_full(x_hat, v_hat, sub, None,
+                                             _Context(replace(spec, morse=None)))
+        for threads, product_min in itertools.product((1, 2, 3), (0, solver._SHARED_PRODUCT_MIN)):
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", threads * rows * s * 2 * spec.basis.n_nodes)
+            monkeypatch.setattr(solver, "_SHARED_PRODUCT_MIN", product_min)
+            ctx = _Context(spec, _Workers(threads))
+            try:
+                got = _velocity_rate_full(x_hat, v_hat, sub, None, ctx)
+                ws = ctx.workspace(n, s, 2)
+                assert ws.rows == rows and len(ws.chunks) == min(threads, 4)
+                assert np.array_equal(ws.x_nodes, np.matmul(x_hat.transpose(1, 0, 2), ctx.table))
+                assert np.array_equal(ws.v_nodes, np.matmul(v_hat.transpose(1, 0, 2), ctx.table))
+                want = np.matmul(ws.rate, ctx.proj).transpose(1, 0, 2)
+                if ctx.homogeneous:
+                    want = alignment_only + want
+                assert np.array_equal(got, want), (threads, product_min)
+            finally:
+                ctx.workers.close()
+            monkeypatch.undo()
+
+
+def test_workers_map_runs_task_0_on_the_calling_thread():
+    # the calling thread is worker 0 and the pool runs the other tasks;
+    # when task 0 raises, map waits for the pool's tasks before it raises,
+    # and the first exception in task order is the one raised, even when
+    # a later task raises too
+    workers = _Workers(2)
+    try:
+        ran_on = {}
+        workers.map(lambda k: ran_on.setdefault(k, threading.get_ident()), 2)
+        assert ran_on[0] == threading.get_ident() != ran_on[1]
+        finished = threading.Event()
+
+        def first_raises(k):
+            if k == 0:
+                raise KeyError("task 0")
+            time.sleep(0.2)
+            finished.set()
+            raise ValueError("task 1")
+
+        with pytest.raises(KeyError, match="task 0"):
+            workers.map(first_raises, 2)
+        assert finished.is_set()
+
+        def second_raises(k):
+            if k == 1:
+                raise ValueError("task 1")
+
+        with pytest.raises(ValueError, match="task 1"):
+            workers.map(second_raises, 2)
+    finally:
+        workers.close()
 
 
 def test_node_path_reads_no_stale_workspace(monkeypatch):
