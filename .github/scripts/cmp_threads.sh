@@ -1,0 +1,22 @@
+#!/bin/sh
+# Runs 10 steps each of combined_2d_desk (8 row chunks per stage on one
+# thread, 16 shared by two workers) and of mill_2d_desk, whose Morse-only
+# branch has 7 row chunks per stage on two workers, once on 1 thread and
+# once on 2, and fails unless stats.csv and ensemble_final.csv match byte
+# for byte.
+#
+# Usage, from the repository root: sh .github/scripts/cmp_threads.sh [dir]
+# Outputs go to dir, else $RUNNER_TEMP, else a new temporary directory.
+set -eu
+out="${1:-${RUNNER_TEMP:-$(mktemp -d)}}"
+for p in combined_2d_desk:0.1 mill_2d_desk:0.2; do
+  name="${p%%:*}"
+  sed "s/^t_end = .*/t_end = ${p#*:}/" "src/swarmuq/presets/$name.cfg" > "$out/${name}_short.cfg"
+  for t in 1 2; do
+    PYTHONPATH=src python -m swarmuq.cli run "$out/${name}_short.cfg" --threads "$t" --out "$out/${name}_threads_$t"
+  done
+  for f in stats.csv ensemble_final.csv; do
+    cmp "$out/${name}_threads_1/$f" "$out/${name}_threads_2/$f"
+  done
+done
+echo "1- and 2-thread outputs are byte-identical in $out"

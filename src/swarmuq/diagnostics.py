@@ -29,13 +29,6 @@ class DensityGrid:
     total_mass: float
     spill: int
 
-    @property
-    def cell_volume(self) -> float:
-        vol = 1.0
-        for lo, hi, nb in self.axes:
-            vol *= (hi - lo) / nb
-        return vol
-
 
 def _histogram(data: np.ndarray, axes, weights=None) -> tuple[np.ndarray, int]:
     """Per-cell sums of ``weights`` (counts without them) over the rows of
@@ -130,7 +123,6 @@ class StatRecord:
     speed_mean: float
     speed_std: float
     ccw_frac: float
-    cw_frac: float
 
 
 def compute_stats(ens: GpcEnsemble, basis) -> StatRecord:
@@ -138,8 +130,8 @@ def compute_stats(ens: GpcEnsemble, basis) -> StatRecord:
 
     Spreads are averaged over the random input with the quadrature
     weights; mean velocity and speed statistics use the expected (mode-0)
-    velocities.  The rotation split uses the sign of the planar cross
-    product x ^ v per particle and is NaN in one dimension.
+    velocities.  The counterclockwise fraction counts particles whose
+    planar cross product x ^ v is positive and is NaN in one dimension.
     """
     gamma_nodes, lambda_nodes = flocking_spreads(ens, basis)
     w = basis.quad_weights
@@ -149,9 +141,8 @@ def compute_stats(ens: GpcEnsemble, basis) -> StatRecord:
     if ens.dim == 2:
         cross = x0[:, 0] * v0[:, 1] - x0[:, 1] * v0[:, 0]
         ccw = float((cross > 0).mean())
-        cw = float((cross <= 0).mean())
     else:
-        ccw = cw = float("nan")
+        ccw = float("nan")
     return StatRecord(
         time=ens.time,
         expected_temperature=expected_temperature(ens, basis),
@@ -161,7 +152,6 @@ def compute_stats(ens: GpcEnsemble, basis) -> StatRecord:
         speed_mean=float(speeds.mean()),
         speed_std=float(speeds.std()),
         ccw_frac=ccw,
-        cw_frac=cw,
     )
 
 

@@ -55,9 +55,6 @@ class GpcEnsemble:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.x_hat).all() and np.isfinite(self.v_hat).all())
 
-    def copy(self) -> "GpcEnsemble":
-        return GpcEnsemble(self.x_hat.copy(), self.v_hat.copy(), self.time)
-
 
 class ICKind(enum.Enum):
     BIMODAL_VELOCITY_1D = "bimodal_velocity_1d"

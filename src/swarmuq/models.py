@@ -33,14 +33,6 @@ class UncertainScalar:
     c1: float = 0.0
 
     @classmethod
-    def constant(cls, value: float) -> "UncertainScalar":
-        return cls(float(value), 0.0)
-
-    @classmethod
-    def affine(cls, c0: float, c1: float) -> "UncertainScalar":
-        return cls(float(c0), float(c1))
-
-    @classmethod
     def parse(cls, text: str) -> "UncertainScalar":
         """Parse expressions like ``"1.0 + 0.25*theta"``, ``"5"``, ``"-theta"``."""
         compact = text.replace(" ", "")
@@ -102,7 +94,7 @@ def _as_uncertain(value) -> UncertainScalar:
         return value
     if isinstance(value, str):
         return UncertainScalar.parse(value)
-    return UncertainScalar.constant(float(value))
+    return UncertainScalar(float(value))
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,11 @@
 """Time integrator for the particle system with per-agent chaos expansions.
 
 Each step draws, per particle, a subsample of S interaction partners
-(uniform, without repetition, self allowed); the pairwise kernels are
-evaluated at the quadrature nodes of the random input, combined with the
-reconstructed states there, and projected back onto the basis.  The
-subsample is frozen across the stages of one Runge-Kutta step so that
-every step integrates a consistent ODE.
-
-``draw_subsamples`` picks the fastest of three exact samplers by how
-dense the subsets are.  Collision-light (s(s-1) <= N//4): draw whole rows
-with replacement and redraw rows with a repeat; an accepted row is an
-i.i.d. draw conditioned on being distinct, hence a uniform set.  Middle
-(up to S = N/5): draw with replacement, sort each row and redraw only
-the repeated slots; the procedure commutes with every relabelling of the
-particles, so each row's set has a permutation-invariant, hence uniform,
-law.  Very dense (S > N/5): partial Fisher-Yates, which takes each next
-index uniformly among those left.
+(``draw_subsamples``: uniform, without repetition, self allowed); the
+pairwise kernels are evaluated at the quadrature nodes of the random
+input, combined with the reconstructed states there, and projected back
+onto the basis.  The subsample is frozen across the stages of one
+Runge-Kutta step so that every step integrates a consistent ODE.
 
 Cost per step is O(N * S * n_modes * n_nodes): positions and velocities
 are reconstructed at the nodes once per stage and reused for every pair.
@@ -25,62 +15,33 @@ interaction matrix, and a fully deterministic model acting on a
 deterministic state updates mode 0 only, keeping higher modes at exact
 zero.
 
-Memory: ``run`` builds one ``_Context`` per run, and its workspace holds
-every array of the node path, reused by all stages of all steps.  Arrays
-with a dimension axis are stored dimension-first: the (d, N, Q) node
-values of x and v and velocity rate, and, for a row chunk of R particles
-with P partners each (S, or N without subsampling), the (d, R, P, Q)
-partner differences (x_j - x_i, then v_j - v_i, written in place over
-the gathered partners) and the (d, R, Q) Morse force and propulsion
-term; the chunk's (R, P, Q) squared distances, distances, alignment
-kernel, Morse coefficients and masks have no dimension axis.  So the
-reconstruction is one (N, m) @ (m, Q) product per dimension, and the
-projection, after the last chunk, one (N, Q) @ (Q, m) product per
-dimension written straight into the modal rate, in place of one small
-product per particle; the distance and contraction passes read
-contiguous (R, P, Q) slices.  The projection runs per stage, not per
-chunk, because BLAS rounds a row of a product differently with the
-number of rows around it, and the result must not depend on the chunk
-size.  A chunk's view of a (d, R, ...) buffer is a prefix of its flat
-memory (``_rows_of``), not the strided buf[:, :R], into which np.take
-would buffer a copy.  R is sized for the cache, not for memory: the
-(d, R, P, Q) buffer holds about 1 MiB (``_CHUNK_BUDGET``), so it stays
-in one core's L2 while the distance, kernel and contraction passes
-reread it; one chunk of all N rows (8 MB for combined_2d_desk) would
-stream every pass through main memory.  Still allocated per step are
-the subsample table and, for the homogeneous shortcut with a subsample,
-its (N, N) CSR mean matrix, and RK4's (N, d, m) weighted sums of the
-rates, into which each stage's rates are added after their last use;
-per stage, the (N, d, m) stage state and modal rate, and the
-deterministic shortcut's order-0 slices.  The CSR matrix is the only
-use of scipy: the function that builds it imports scipy.sparse, so
-every other run starts without scipy.  Keeping its ``data`` and
-``indptr`` for the whole run saved about 0.03 s of a 2 s
+Memory: the workspace of a run's ``_Context`` holds every array of the
+node path, reused by all stages of all steps.  Arrays with a dimension
+axis are stored dimension-first, so the reconstruction and the
+projection are one BLAS product per dimension and the distance and
+contraction passes read contiguous (R, P, Q) slices of a chunk of R
+rows with P partners each.  The projection runs once per stage, after
+the last chunk, because BLAS rounds a row of a product differently with
+the number of rows around it, and the result must not depend on the
+chunk size.  Still allocated per step are the subsample table, the
+homogeneous shortcut's CSR mean matrix and RK4's weighted sums of the
+rates; per stage, the stage state and the modal rate.  Keeping the CSR
+``data`` and ``indptr`` for the whole run saved about 0.03 s of a 2 s
 homogeneous_dense run but raised its peak RSS by 1.4 MB, so they are
 rebuilt with the matrix each step.
 
 Threads: with W workers (``run(..., threads=W)``) each phase of a stage
-is shared out, worker k taking jobs k, k + W, ...: the calling thread
-is worker 0, and a pool of W - 1 threads that lives for one run holds
-the others; numpy releases the interpreter lock inside every pass and
-product.  The phases are the reconstruction, one product per dimension
-of x and of v, then the row chunks, then the projection, one product
-per dimension; each ends before the next starts.  A per-dimension
-product is the same BLAS call that a stacked matmul over the dimensions
-makes, so it rounds alike.  Products too small to outlast the handover
-to a pool thread (``_SHARED_PRODUCT_MIN``) stay on the calling thread.
-The (d, N, Q) node values and node rate are shared, each chunk writing
-only its own rows of the rate; the chunk buffers exist once per worker,
-and each worker's budget is ``_CHUNK_BUDGET // W``, so the workspace,
-and with it peak memory, keeps its size whatever W is.  A row's rate
-does not depend on the chunk that holds it, so results are
-bit-identical for every W.  While the pool runs, numpy's bundled
-OpenBLAS is held at one thread: after a threaded product its idle
-threads spin-wait, and on two cores a stage then ran at 0.8x the serial
-speed.  A stage of a single row chunk runs every phase on the calling
-thread; a run whose stages all are one chunk, or that never reaches the
-node path (homogeneous alignment without Morse), starts no pool and
-leaves OpenBLAS as it is.
+(the reconstruction, the row chunks, the projection) is shared out,
+worker k taking jobs k, k + W, ..., and each phase ends before the next
+starts; numpy releases the interpreter lock inside every pass and
+product.  A per-dimension product is the same BLAS call that a stacked
+matmul over the dimensions makes, and a row's rate does not depend on
+the chunk that holds it, so results are bit-identical for every W.
+Each worker has its own chunk buffers and a W-th of ``_CHUNK_BUDGET``,
+so peak memory keeps its size whatever W is.  While the pool runs,
+numpy's bundled OpenBLAS is held at one thread: after a threaded product
+its idle threads spin-wait, and on two cores a stage then ran at 0.8x
+the serial speed.
 """
 from __future__ import annotations
 
@@ -351,11 +312,12 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | No
       and redraw every row that repeats an index.  An accepted row is an
       i.i.d. uniform draw conditioned on being distinct, so its set is
       uniform.  int64, in draw order.
-    - middle, up to s = n/5: ``_sorted_redraw``, int32, each row sorted
+    - middle, up to 10s = 3n: ``_sorted_redraw``, int32, each row sorted
       ascending.  ``np.take`` and scipy's CSR take int32 indices as they
       are.
-    - very dense, s > n/5: partial Fisher-Yates, which picks each next
-      index uniformly among those not yet taken.  int64, in draw order.
+    - very dense, 10s > 3n: the first s entries of a uniform permutation
+      of 0..n-1 (``Generator.permuted``), which are a uniform s-subset.
+      int64, in permutation order.
     """
     if s == n:
         return None
@@ -367,27 +329,19 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | No
             if not bad.any():
                 return idx
             idx[bad] = rng.integers(0, n, size=(int(bad.sum()), s))
-    if 5 * s <= n:
+    # The redraw's cost grows with s and the row shuffle's does not; they
+    # cross at s = 0.36n for n = 10^3 (14 ms a draw) and at s = 0.29n for
+    # n = 10^4 (1.65 s), measured on a 2-core Xeon with numpy 2.4.
+    if 10 * s <= 3 * n:
         return _sorted_redraw(rng, n, s)
-    # Very dense regime, where the redraw needs many rounds: partial
-    # Fisher-Yates over row chunks sized to stay cache-resident (large
-    # chunks thrash on the scattered column swaps).
+    # Very dense regime: numpy shuffles each row in C, over row chunks of
+    # 2^21 entries (16 MB) rather than one (n, n) array.
     out = np.empty((n, s), dtype=np.int64)
     chunk = max(1, (1 << 21) // n)
-    base = np.arange(n, dtype=np.int64)
-    offsets = np.arange(s)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        c = hi - lo
-        perm = np.tile(base, (c, 1))
-        rows = np.arange(c)
-        targets = offsets + (rng.random((c, s)) * (n - offsets)).astype(np.int64)
-        for t in range(s):
-            j = targets[:, t]
-            tmp = perm[:, t].copy()
-            perm[:, t] = perm[rows, j]
-            perm[rows, j] = tmp
-        out[lo:hi] = perm[:, :s]
+        perm = np.tile(np.arange(n, dtype=np.int64), (hi - lo, 1))
+        out[lo:hi] = rng.permuted(perm, axis=1, out=perm)[:, :s]
     return out
 
 

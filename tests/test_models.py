@@ -53,12 +53,12 @@ def test_uncertain_scalar_rejects_garbage():
 
 
 def test_uncertain_scalar_evaluation():
-    u = UncertainScalar.affine(2.0, -0.5)
+    u = UncertainScalar(2.0, -0.5)
     assert u(0.0) == 2.0
     assert u(2.0) == 1.0
     vals = u(np.array([-1.0, 1.0]))
     assert np.allclose(vals, [2.5, 1.5])
-    c = UncertainScalar.constant(3.0)
+    c = UncertainScalar(3.0)
     assert c.is_constant and c(123.0) == 3.0
     assert np.allclose(c(np.zeros(4)), 3.0)
 
@@ -199,7 +199,7 @@ def test_linearized_flocking_check():
     gamma = UncertainScalar.parse("0.1 + 0.05*theta")
     assert linearized_flocking_check(gamma, 0.2, basis) is True
     assert linearized_flocking_check(gamma, 0.12, basis) is False
-    const = UncertainScalar.constant(0.3)
+    const = UncertainScalar(0.3)
     assert linearized_flocking_check(const, 0.3, basis) is False  # strict inequality
     with pytest.raises(ConfigurationError):
         linearized_flocking_check(gamma, 0.7, basis)

@@ -234,7 +234,7 @@ def test_deterministic_shortcut_matches_generic_path():
     n = 30
     for spec, ic in cases:
         ens = sample_initial(ic, n, 9, spec.basis.n_modes)
-        perturbed = ens.copy()
+        perturbed = GpcEnsemble(ens.x_hat.copy(), ens.v_hat.copy(), ens.time)
         perturbed.x_hat[:, :, 1] += 1e-300  # flips the path selector only
         cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=5, seed=4, model=spec)
         a = step(ens, cfg, np.random.default_rng(0))
@@ -396,12 +396,16 @@ def test_solver_config_validation():
 def test_subsamples_distinct_and_uniform():
     rng = np.random.default_rng(99)
     assert draw_subsamples(rng, 50, 50) is None
-    # up to S = N/5 past the collision-light regime: the sorted redraw
-    middle = draw_subsamples(np.random.default_rng(1), 400, 20)
-    assert np.array_equal(middle, _sorted_redraw(np.random.default_rng(1), 400, 20))
-    # single partner, collision-light, middle and very dense regimes,
-    # >= 1e5 sampled indices each
-    for n, s, reps in ((40, 1, 2500), (40, 3, 850), (400, 20, 13), (40, 25, 120)):
+    # up to 10 S = 3 N past the collision-light regime: the sorted redraw,
+    # also at that edge
+    for s in (20, 120):
+        middle = draw_subsamples(np.random.default_rng(1), 400, s)
+        assert np.array_equal(middle, _sorted_redraw(np.random.default_rng(1), 400, s))
+    # single partner, collision-light, middle (also at its edge, S = 12 of
+    # 40) and very dense regimes (from S = 13 of 40), >= 1e5 sampled
+    # indices each
+    for n, s, reps in ((40, 1, 2500), (40, 3, 850), (400, 20, 13), (40, 12, 210), (40, 13, 210),
+                       (40, 25, 120)):
         counts = np.zeros(n)
         draws = 0
         for _ in range(reps):
@@ -422,7 +426,7 @@ def test_subsamples_distinct_and_uniform():
 def test_subsample_sets_uniform_over_all_subsets():
     # the joint law, which the per-index counts above cannot see: every
     # 3-subset of 6 indices equally likely, chi-square over all 20 at 1%,
-    # for the sorted redraw and for the Fisher-Yates regime of (6, 3)
+    # for the sorted redraw and for the very dense regime of (6, 3)
     rng = np.random.default_rng(5)
     weights = 1 << np.arange(6)
     for draw in (_sorted_redraw, draw_subsamples):
