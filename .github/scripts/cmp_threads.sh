@@ -1,17 +1,25 @@
 #!/bin/sh
 # Runs 10 steps each of combined_2d_desk (8 row chunks per stage on one
 # thread, 16 shared by two workers) and of mill_2d_desk, whose Morse-only
-# branch has 7 row chunks per stage on two workers, once on 1 thread and
-# once on 2, and fails unless stats.csv and ensemble_final.csv match byte
-# for byte.
+# branch has 7 row chunks per stage on two workers, and 5 steps of the
+# homogeneous preset with S = 100, whose subsample mean two workers share
+# as two CSR row blocks, once on 1 thread and once on 2, and fails unless
+# stats.csv and ensemble_final.csv match byte for byte.
 #
 # Usage, from the repository root: sh .github/scripts/cmp_threads.sh [dir]
 # Outputs go to dir, else $RUNNER_TEMP, else a new temporary directory.
 set -eu
 out="${1:-${RUNNER_TEMP:-$(mktemp -d)}}"
-for p in combined_2d_desk:0.1 mill_2d_desk:0.2; do
+# name:t_end, or name:t_end:S to also replace the preset's subsample size
+for p in combined_2d_desk:0.1 mill_2d_desk:0.2 homogeneous:0.05:100; do
   name="${p%%:*}"
-  sed "s/^t_end = .*/t_end = ${p#*:}/" "src/swarmuq/presets/$name.cfg" > "$out/${name}_short.cfg"
+  rest="${p#*:}"
+  case "$rest" in
+    *:*) subsample="s/^S = .*/S = ${rest#*:}/" ;;
+    *) subsample="" ;;
+  esac
+  sed -e "s/^t_end = .*/t_end = ${rest%%:*}/" -e "$subsample" \
+    "src/swarmuq/presets/$name.cfg" > "$out/${name}_short.cfg"
   for t in 1 2; do
     PYTHONPATH=src python -m swarmuq.cli run "$out/${name}_short.cfg" --threads "$t" --out "$out/${name}_threads_$t"
   done

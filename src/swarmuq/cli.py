@@ -504,8 +504,9 @@ def main(argv=None) -> int:
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
             p.add_argument("--threads", type=_positive_int, default=None,
-                           help="worker threads: for run, the node path's (default and limit: the usable "
-                                "cores); for converge, the sweep points run at once (default 1)")
+                           help="worker threads: for run, those that share each stage's work (default and "
+                                "limit: the usable cores); for converge, the sweep points run at once "
+                                "(default 1)")
         return p
 
     command("run", "integrate one experiment and emit artifacts")

@@ -24,19 +24,25 @@ rows with P partners each.  The projection runs once per stage, after
 the last chunk, because BLAS rounds a row of a product differently with
 the number of rows around it, and the result must not depend on the
 chunk size.  Still allocated per step are the subsample table, the
-homogeneous shortcut's CSR mean matrix and RK4's weighted sums of the
+homogeneous shortcut's CSR mean blocks and RK4's weighted sums of the
 rates; per stage, the stage state and the modal rate.  Keeping the CSR
 ``data`` and ``indptr`` for the whole run saved about 0.03 s of a 2 s
 homogeneous_dense run but raised its peak RSS by 1.4 MB, so they are
 rebuilt with the matrix each step.
 
 Threads: with W workers (``run(..., threads=W)``) each phase of a stage
-(the reconstruction, the row chunks, the projection) is shared out,
-worker k taking jobs k, k + W, ..., and each phase ends before the next
-starts; numpy releases the interpreter lock inside every pass and
-product.  A per-dimension product is the same BLAS call that a stacked
-matmul over the dimensions makes, and a row's rate does not depend on
-the chunk that holds it, so results are bit-identical for every W.
+(the homogeneous shortcut's subsample mean, the reconstruction, the row
+chunks, the projection) is shared out, worker k taking jobs k, k + W,
+..., and each phase ends before the next starts; numpy releases the
+interpreter lock inside every pass and product, and scipy 1.17 inside
+its CSR product.  The subsample mean is one CSR row block per worker,
+with the data and indices of one whole matrix.  A CSR row's mean
+depends only on that row's partners in their stored order, a
+per-dimension product is the same BLAS call that a stacked matmul over
+the dimensions makes, and a row's rate does not depend on the chunk
+that holds it, so results are bit-identical for every W.  The mean and
+the products stay on the calling thread below ``_SHARED_PRODUCT_MIN``
+multiply-adds.
 Each worker has its own chunk buffers and a W-th of ``_CHUNK_BUDGET``,
 so peak memory keeps its size whatever W is.  While the pool runs,
 numpy's bundled OpenBLAS is held at one thread: after a threaded product
@@ -71,12 +77,13 @@ from .timegrid import time_steps
 _CHUNK_BUDGET = 1 << 17
 
 # Multiply-adds of one (N, m) @ (m, Q) product of the reconstruction or
-# projection below which those products stay on the calling thread.  A
-# pool thread starts a task 60-150 us after it is handed over, and one
-# core does 2^19 multiply-adds in 40-100 us.  On 2 workers of a 2-core
-# Xeon, a stage of mill_2d_desk (10^5 per product, 20 us) took 4.32 ms
-# with its products shared and 4.09 ms without; one of combined_2d_desk
-# (2.5 * 10^6, 0.2 ms) took 14.8 and 15.9 ms.
+# projection below which those products stay on the calling thread, and
+# of the homogeneous subsample mean (N * S * d * m) below which it stays
+# one CSR block there.  A pool thread starts a task 60-150 us after it is
+# handed over, and one core does 2^19 multiply-adds in 40-100 us.  On 2
+# workers of a 2-core Xeon, a stage of mill_2d_desk (10^5 per product,
+# 20 us) took 4.32 ms with its products shared and 4.09 ms without; one
+# of combined_2d_desk (2.5 * 10^6, 0.2 ms) took 14.8 and 15.9 ms.
 _SHARED_PRODUCT_MIN = 1 << 19
 
 
@@ -168,9 +175,11 @@ def _openblas():
 class _Workers:
     """The worker threads of one run: the calling thread is worker 0, and
     a pool holds the other ``count - 1``.  The pool starts when a stage
-    first has row chunks for more than one worker, and OpenBLAS is held
-    at one thread from then until ``close``: after a threaded matmul its
-    idle threads spin-wait and take a core from the workers."""
+    first shares a phase among more than one worker (row chunks, the
+    per-dimension products or the subsample mean's row blocks), and
+    OpenBLAS is held at one thread from then until ``close``: after a
+    threaded matmul its idle threads spin-wait and take a core from the
+    workers."""
 
     def __init__(self, count: int):
         self.count = count
@@ -376,7 +385,9 @@ def _sorted_redraw(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
 
 
 def _subsample_mean_matrix(sub: np.ndarray, n: int):
-    """(n, n) CSR matrix whose row i averages over the partners ``sub[i]``.
+    """(rows, n) CSR matrix whose row i averages over the partners
+    ``sub[i]``; ``step`` builds one for each worker's row block of the
+    subsample table, and their products fill the rows of one mean.
 
     scipy.sparse is imported here, the only place that uses it, so that
     a run without a subsampled homogeneous mean never loads scipy (about
@@ -450,23 +461,11 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws, node_rate) -> np.nd
 
 
 def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
-    """Modal velocity rate for every particle."""
+    """Modal velocity rate for every particle.  ``sub_mean`` is the
+    homogeneous shortcut's subsample mean as CSR row blocks in row order,
+    one per worker that shares the product (see ``step``), or None."""
     n, d, m = v_hat.shape
-    if ctx.homogeneous:
-        if sub_mean is None:
-            target = v_hat.mean(axis=0)[None, :, :]
-        else:
-            target = (sub_mean @ v_hat.reshape(n, d * m)).reshape(n, d, m)
-        # one (N*d, m) @ (m, m) product, not N stacked (d, m) @ (m, m) ones
-        dv = ((target - v_hat).reshape(n * d, m) @ ctx.e_const.T).reshape(n, d, m)
-        if ctx.model.morse is None:
-            return dv
-    else:
-        dv = np.empty_like(v_hat)   # every row is written below
-    ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
-    x_nodes, v_nodes, rate = ws.x_nodes, ws.v_nodes, ws.rate
-    chunks, tasks, errors = -(-n // ws.rows), len(ws.chunks), np.geterr()
-    product_tasks = tasks if n * ctx.table.size >= _SHARED_PRODUCT_MIN else 1
+    errors = np.geterr()
 
     def share(jobs, job, workers):   # job(i, k) for i < jobs, worker k taking i = k, k + workers, ...
         def worker(k):
@@ -475,6 +474,31 @@ def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
                     job(i, k)
 
         ctx.workers.map(worker, min(workers, jobs))
+
+    if ctx.homogeneous:
+        if sub_mean is None:
+            diff = v_hat.mean(axis=0)[None, :, :] - v_hat
+        else:
+            flat = v_hat.reshape(n, d * m)
+            diff = np.empty((n, d * m))
+            bounds = np.cumsum([0] + [block.shape[0] for block in sub_mean])
+
+            def mean_rows(i, _):   # a CSR row sums its own partners in stored order, in any block
+                lo, hi = bounds[i], bounds[i + 1]
+                np.subtract(sub_mean[i] @ flat, flat[lo:hi], out=diff[lo:hi])
+
+            share(len(sub_mean), mean_rows, len(sub_mean))
+        # one (N*d, m) @ (m, m) product on the calling thread, not N stacked
+        # (d, m) @ (m, m) ones: BLAS rounds a row with the product's height
+        dv = (diff.reshape(n * d, m) @ ctx.e_const.T).reshape(n, d, m)
+        if ctx.model.morse is None:
+            return dv
+    else:
+        dv = np.empty_like(v_hat)   # every row is written below
+    ws = ctx.workspace(n, n if sub is None else sub.shape[1], d)
+    x_nodes, v_nodes, rate = ws.x_nodes, ws.v_nodes, ws.rate
+    chunks, tasks = -(-n // ws.rows), len(ws.chunks)
+    product_tasks = tasks if n * ctx.table.size >= _SHARED_PRODUCT_MIN else 1
 
     def reconstruct(i, _):   # x, then v: one (N, m) @ (m, Q) product per dimension
         hat, nodes = (x_hat, x_nodes) if i < d else (v_hat, v_nodes)
@@ -515,7 +539,13 @@ def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: floa
         x0, v0 = x0[:, :, :1], v0[:, :, :1]
     n = ens.n_particles
     sub = draw_subsamples(rng, n, cfg.subsample_size)
-    sub_mean = None if sub is None or not ctx.homogeneous else _subsample_mean_matrix(sub, n)
+    sub_mean = None
+    if sub is not None and ctx.homogeneous:
+        # one row block per worker when the mean's N*S*d*m multiply-adds
+        # are worth sharing; the blocks hold the data of one whole matrix
+        blocks = ctx.workers.count if sub.size * v0[0].size >= _SHARED_PRODUCT_MIN else 1
+        sub_mean = [_subsample_mean_matrix(sub[n * k // blocks:n * (k + 1) // blocks], n)
+                    for k in range(blocks)]
 
     def rhs(x_hat, v_hat):
         return v_hat, _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx)
@@ -580,8 +610,9 @@ def run(
     Returns the list of (time, [observer outputs]) records and the final
     ensemble.  Each step uses an RNG stream derived from (seed, step
     index), so trajectories are reproducible and independent of how work
-    is scheduled.  ``threads`` workers share the row chunks of the node
-    path; the result is bit-identical for every count.
+    is scheduled.  ``threads`` workers share the row chunks and products
+    of the node path and the row blocks of the homogeneous shortcut's
+    subsample mean; the result is bit-identical for every count.
     """
     if observer_stride < 1:
         raise ConfigurationError(f"observer stride must be >= 1, got {observer_stride}")

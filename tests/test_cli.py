@@ -21,7 +21,7 @@ from swarmuq.cli import (
     preset_path,
 )
 from swarmuq.errors import ConfigurationError
-from swarmuq.solver import _Context, _Workers
+from swarmuq.solver import _SHARED_PRODUCT_MIN, _Context, _Workers
 
 MINI_CONFIG = """
 [experiment]
@@ -262,15 +262,22 @@ def test_run_is_reproducible_across_thread_counts(tmp_path):
     # cs_1d's stages are a single row chunk, which runs on the calling
     # thread whatever the count; the small mill has at least 2 row chunks
     # per stage on 2 workers (3 at the current budget), so its second run
-    # shares them out on the pool
+    # shares them out on the pool; the subsampled homogeneous run's mean
+    # has enough multiply-adds to be split into one row block per worker
     mill = (MINI_MILL.replace("N = 100\nS = 5\nM = 2\n", "N = 400\nS = 20\nM = 4\n")
             .replace("t_end = 0.02", "t_end = 0.05"))
     mill_path = _write(tmp_path, mill, name="mill.cfg", out=str(tmp_path / "mill"))
     ic, cfg = build_experiment(load_config(mill_path))
     ws = _Context(cfg.model, _Workers(2)).workspace(cfg.n_particles, cfg.subsample_size, ic.dim)
     assert -(-cfg.n_particles // ws.rows) >= 2
+    homogeneous = (MINI_HOMOGENEOUS.replace("N = 500\nS = 500\nM = 3\n", "N = 2000\nS = 50\nM = 5\n")
+                   .replace("t_end = 0.2", "t_end = 0.05"))
+    homogeneous_path = _write(tmp_path, homogeneous, name="homogeneous.cfg",
+                              out=str(tmp_path / "homogeneous"))
+    ic, cfg = build_experiment(load_config(homogeneous_path))
+    assert cfg.n_particles * cfg.subsample_size * ic.dim * cfg.model.basis.n_modes >= _SHARED_PRODUCT_MIN
     cs_path = _write(tmp_path, MINI_CONFIG, name="cs_1d.cfg", out=str(tmp_path / "cs_1d"))
-    for name, cfg_path in (("cs_1d", cs_path), ("mill", mill_path)):
+    for name, cfg_path in (("cs_1d", cs_path), ("mill", mill_path), ("homogeneous", homogeneous_path)):
         for threads in (1, 2):
             assert cmd_run(str(cfg_path), out=str(tmp_path / f"{name}_{threads}"), threads=threads) == 0
         for artifact in ("stats.csv", "ensemble_final.csv"):

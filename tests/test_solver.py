@@ -54,7 +54,7 @@ def _rate(ens, partners, spec):
     same partners."""
     sub = np.tile(np.asarray(partners), (ens.n_particles, 1))
     return _velocity_rate_full(ens.x_hat, ens.v_hat, sub,
-                               _subsample_mean_matrix(sub, ens.n_particles), _Context(spec))
+                               [_subsample_mean_matrix(sub, ens.n_particles)], _Context(spec))
 
 
 def _mill_spec(order=3):
@@ -570,6 +570,68 @@ def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
             finally:
                 ctx.workers.close()
             monkeypatch.undo()
+
+
+def test_subsample_mean_blocks_match_one_matrix(monkeypatch):
+    # step splits the homogeneous shortcut's subsample mean into one CSR
+    # row block per worker, or keeps one block below the sharing
+    # threshold; with N = 37 rows on 1, 2, 3 and 5 workers (blocks of
+    # uneven size), the threshold at 0 and at its value, for the
+    # alignment alone and with the Morse node path, the rate of the blocks
+    # equals that of one _subsample_mean_matrix(sub, n) bit for bit, and
+    # so does the step; a short switch interval interleaves the workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _check_subsample_mean_blocks(monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _check_subsample_mean_blocks(monkeypatch):
+    n, s, d = 37, 6, 2
+    rng = np.random.default_rng(29)
+    ic = InitialCondition.annulus_rotating_2d()
+    homogeneous = _cs_spec(order=3, K="1+0.5*theta", gamma="0.0")
+    homogeneous_mill = replace(homogeneous, morse=_mill_spec().morse)
+    for spec in (homogeneous, homogeneous_mill):
+        m = spec.basis.n_modes
+        x_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
+        v_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
+        sub = draw_subsamples(rng, n, s)
+        flat = v_hat.reshape(n, d * m)
+        mean = _subsample_mean_matrix(sub, n) @ flat
+        want = ((mean - flat).reshape(n * d, m) @ _Context(spec).e_const.T).reshape(n, d, m)
+        if spec.morse is not None:
+            want = want + _velocity_rate_full(x_hat, v_hat, sub, None,
+                                              _Context(replace(spec, alignment=None)))
+        ens = sample_initial(ic, n, 6, m)
+        cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=s, seed=0, model=spec)
+        whole = step(ens, cfg, np.random.default_rng(2))
+        for threads, product_min in itertools.product((1, 2, 3, 5), (0, solver._SHARED_PRODUCT_MIN)):
+            monkeypatch.setattr(solver, "_SHARED_PRODUCT_MIN", product_min)
+            blocks = []
+
+            def record(rows, cols):
+                blocks.append(_subsample_mean_matrix(rows, cols))
+                return blocks[-1]
+
+            monkeypatch.setattr(solver, "_subsample_mean_matrix", record)
+            ctx = _Context(spec, _Workers(threads))
+            try:
+                stepped = step(ens, cfg, np.random.default_rng(2), ctx=ctx)
+                shared = threads if product_min == 0 else 1
+                assert [block.shape[0] for block in blocks] == [
+                    n * (k + 1) // shared - n * k // shared for k in range(shared)]
+                split = [_subsample_mean_matrix(sub[n * k // threads:n * (k + 1) // threads], n)
+                         for k in range(threads)]
+                got = _velocity_rate_full(x_hat, v_hat, sub, split, ctx)
+            finally:
+                ctx.workers.close()
+            monkeypatch.undo()
+            assert np.array_equal(got, want), (threads, product_min)
+            assert np.array_equal(stepped.x_hat, whole.x_hat), (threads, product_min)
+            assert np.array_equal(stepped.v_hat, whole.v_hat), (threads, product_min)
 
 
 def test_workers_map_runs_task_0_on_the_calling_thread():
