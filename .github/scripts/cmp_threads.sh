@@ -1,17 +1,20 @@
 #!/bin/sh
 # Runs 10 steps each of combined_2d_desk (8 row chunks per stage on one
 # thread, 16 shared by two workers) and of mill_2d_desk, whose Morse-only
-# branch has 7 row chunks per stage on two workers, and 5 steps of the
+# branch has 7 row chunks per stage on two workers, 5 steps of the
 # homogeneous preset with S = 100, whose subsample mean two workers share
-# as two CSR row blocks, once on 1 thread and once on 2, and fails unless
-# stats.csv and ensemble_final.csv match byte for byte.
+# as two CSR row blocks and whose subsample table they draw as 8 row
+# blocks of the sorted redraw, and 2 steps of cs_1d (N = 10^5, S = 5),
+# whose table is 4 collision-light row blocks, once on 1 thread and once
+# on 2, and fails unless stats.csv and ensemble_final.csv match byte for
+# byte.
 #
 # Usage, from the repository root: sh .github/scripts/cmp_threads.sh [dir]
 # Outputs go to dir, else $RUNNER_TEMP, else a new temporary directory.
 set -eu
 out="${1:-${RUNNER_TEMP:-$(mktemp -d)}}"
 # name:t_end, or name:t_end:S to also replace the preset's subsample size
-for p in combined_2d_desk:0.1 mill_2d_desk:0.2 homogeneous:0.05:100; do
+for p in combined_2d_desk:0.1 mill_2d_desk:0.2 homogeneous:0.05:100 cs_1d:0.02; do
   name="${p%%:*}"
   rest="${p#*:}"
   case "$rest" in

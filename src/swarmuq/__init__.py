@@ -6,7 +6,7 @@ subsampling, so reconstructed expected densities stay nonnegative while
 the random space keeps spectral accuracy.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     ConfigurationError,

@@ -30,14 +30,17 @@ rates; per stage, the stage state and the modal rate.  Keeping the CSR
 homogeneous_dense run but raised its peak RSS by 1.4 MB, so they are
 rebuilt with the matrix each step.
 
-Threads: with W workers (``run(..., threads=W)``) each phase of a stage
-(the homogeneous shortcut's subsample mean, the reconstruction, the row
-chunks, the projection) is shared out, worker k taking jobs k, k + W,
-..., and each phase ends before the next starts; numpy releases the
-interpreter lock inside every pass and product, and scipy 1.17 inside
-its CSR product.  The subsample mean is one CSR row block per worker,
-with the data and indices of one whole matrix.  A CSR row's mean
-depends only on that row's partners in their stored order, a
+Threads: with W workers (``run(..., threads=W)``) the step's subsample
+draw and each phase of a stage (the homogeneous shortcut's subsample
+mean, the reconstruction, the row chunks, the projection) are shared
+out, worker k taking jobs k, k + W, ..., and each phase ends before the
+next starts; numpy releases the interpreter lock inside every pass,
+product and bulk random draw, and scipy 1.17 inside its CSR product.
+The draw's jobs are row blocks of a fixed size, each with its own
+random stream (see ``draw_subsamples``).  The subsample mean is one CSR
+row block per worker, with the data and indices of one whole matrix.  A
+block's partners do not depend on the worker that draws it, a CSR row's
+mean depends only on that row's partners in their stored order, a
 per-dimension product is the same BLAS call that a stacked matmul over
 the dimensions makes, and a row's rate does not depend on the chunk
 that holds it, so results are bit-identical for every W.  The mean and
@@ -85,6 +88,14 @@ _CHUNK_BUDGET = 1 << 17
 # 20 us) took 4.32 ms with its products shared and 4.09 ms without; one
 # of combined_2d_desk (2.5 * 10^6, 0.2 ms) took 14.8 and 15.9 ms.
 _SHARED_PRODUCT_MIN = 1 << 19
+
+# Entries of one row block of the subsample table (see draw_subsamples),
+# whatever the worker count.  The draw is RNG-bound: on a 2-core Xeon,
+# blocks of 2^17 drew N = 10^4, S = 100 in 6.4-6.9 ms on 2 workers
+# against 8.8 ms as one table.  Blocks of 2^18 ran homogeneous_dense
+# 3.5% faster, within the spread of 4 pairs of runs, and raised its peak
+# memory by 1.1 MB.
+_DRAW_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -174,9 +185,10 @@ def _openblas():
 
 class _Workers:
     """The worker threads of one run: the calling thread is worker 0, and
-    a pool holds the other ``count - 1``.  The pool starts when a stage
-    first shares a phase among more than one worker (row chunks, the
-    per-dimension products or the subsample mean's row blocks), and
+    a pool holds the other ``count - 1``.  The pool starts when a step
+    first shares work among more than one worker (the subsample draw's
+    row blocks, row chunks, the per-dimension products or the subsample
+    mean's row blocks), and
     OpenBLAS is held at one thread from then until ``close``: after a
     threaded matmul its idle threads spin-wait and take a core from the
     workers."""
@@ -211,6 +223,20 @@ class _Workers:
             wait(futures)
         for future in futures:
             future.result()
+
+    def share(self, jobs: int, job, tasks: int | None = None) -> None:
+        """job(i, k) for i < jobs, worker k of ``tasks`` (at most all of
+        them) taking i = k, k + tasks, ..., under the calling thread's
+        numpy error state, which numpy keeps per thread."""
+        errors = np.geterr()
+        tasks = min(self.count if tasks is None else tasks, jobs)
+
+        def worker(k):
+            with np.errstate(**errors):
+                for i in range(k, jobs, tasks):
+                    job(i, k)
+
+        self.map(worker, tasks)
 
     def close(self) -> None:
         """Join the pool and give OpenBLAS back its thread count."""
@@ -310,52 +336,71 @@ def _rows_of(buf, rows):
     return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def draw_subsamples(rng: np.random.Generator, n: int, s: int) -> np.ndarray | None:
+def draw_subsamples(rng: np.random.Generator, n: int, s: int,
+                    workers: _Workers | None = None) -> np.ndarray | None:
     """Per-particle subsamples: (n, s) distinct indices each, uniform over
     subsets, self allowed.  Returns None when s == n (the full set).
 
-    Three regimes, each picked for speed; every one gives each row a
-    uniform s-subset, independently of the other rows:
+    Three regimes, picked from (n, s) for speed; every one gives each row
+    a uniform s-subset, independently of the other rows:
 
-    - collision-light, s(s-1) <= n//4: draw whole rows with replacement
-      and redraw every row that repeats an index.  An accepted row is an
-      i.i.d. uniform draw conditioned on being distinct, so its set is
-      uniform.  int64, in draw order.
+    - collision-light, s(s-1) <= n//4: ``_rejection_rows``, int64, in
+      draw order.
     - middle, up to 10s = 3n: ``_sorted_redraw``, int32, each row sorted
       ascending.  ``np.take`` and scipy's CSR take int32 indices as they
       are.
-    - very dense, 10s > 3n: the first s entries of a uniform permutation
-      of 0..n-1 (``Generator.permuted``), which are a uniform s-subset.
-      int64, in permutation order.
+    - very dense, 10s > 3n: ``_shuffled_rows``, int64, in permutation
+      order.
+
+    The table is drawn in blocks of ``max(1, _DRAW_BLOCK // s)`` rows,
+    which ``workers`` share out (on the calling thread without them).
+    Block 0 draws from ``rng`` and block b >= 1 from
+    ``Generator(rng.bit_generator.jumped(b))``; every jump is taken before
+    block 0 advances ``rng``.  PCG64's jumped streams do not overlap, so
+    each block draws its rows from fresh uniform variates, as one stream
+    would: a row's law and its independence of the other rows do not
+    change, and neither does the table for any worker count.  A table of
+    at most ``_DRAW_BLOCK`` entries is one block, drawn on the calling
+    thread from ``rng`` alone.
     """
     if s == n:
         return None
-    if s * (s - 1) <= n // 4:
-        # Collision-light regime: redraw the few rows with duplicates.
-        idx = rng.integers(0, n, size=(n, s))
-        while True:
-            bad = (np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)
-            if not bad.any():
-                return idx
-            idx[bad] = rng.integers(0, n, size=(int(bad.sum()), s))
     # The redraw's cost grows with s and the row shuffle's does not; they
     # cross at s = 0.36n for n = 10^3 (14 ms a draw) and at s = 0.29n for
     # n = 10^4 (1.65 s), measured on a 2-core Xeon with numpy 2.4.
-    if 10 * s <= 3 * n:
-        return _sorted_redraw(rng, n, s)
-    # Very dense regime: numpy shuffles each row in C, over row chunks of
-    # 2^21 entries (16 MB) rather than one (n, n) array.
-    out = np.empty((n, s), dtype=np.int64)
-    chunk = max(1, (1 << 21) // n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        perm = np.tile(np.arange(n, dtype=np.int64), (hi - lo, 1))
-        out[lo:hi] = rng.permuted(perm, axis=1, out=perm)[:, :s]
-    return out
+    if s * (s - 1) <= n // 4:
+        draw, dtype = _rejection_rows, np.int64
+    elif 10 * s <= 3 * n:
+        draw, dtype = _sorted_redraw, np.int32
+    else:
+        draw, dtype = _shuffled_rows, np.int64
+    rows = max(1, _DRAW_BLOCK // s)
+    streams = [rng] + [np.random.Generator(rng.bit_generator.jumped(b)) for b in range(1, -(-n // rows))]
+    table = np.empty((n, s), dtype=dtype)
+
+    def block(b, _):
+        lo = b * rows
+        table[lo:lo + rows] = draw(streams[b], n, s, min(rows, n - lo))
+
+    (workers or _Workers(1)).share(len(streams), block)
+    return table
 
 
-def _sorted_redraw(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
-    """(n, s) int32 rows of distinct indices in 0..n-1, each sorted.
+def _rejection_rows(rng: np.random.Generator, n: int, s: int, rows: int) -> np.ndarray:
+    """(rows, s) int64 rows of distinct indices in 0..n-1, for s(s-1) <=
+    n//4: draw whole rows with replacement and redraw every row that
+    repeats an index.  An accepted row is an i.i.d. uniform draw
+    conditioned on being distinct, so its set is uniform."""
+    idx = rng.integers(0, n, size=(rows, s))
+    while True:
+        bad = (np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)
+        if not bad.any():
+            return idx
+        idx[bad] = rng.integers(0, n, size=(int(bad.sum()), s))
+
+
+def _sorted_redraw(rng: np.random.Generator, n: int, s: int, rows: int) -> np.ndarray:
+    """(rows, s) int32 rows of distinct indices in 0..n-1, each sorted.
 
     Draw with replacement and sort each row; then, until no row has a
     repeat, redraw the slots equal to their left neighbour and re-sort
@@ -369,9 +414,9 @@ def _sorted_redraw(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
     from any other, so that law is uniform.  Fresh draws are i.i.d.
     whichever slot takes them, so the rows stay independent.
     """
-    idx = rng.integers(0, n, size=(n, s), dtype=np.int32)
+    idx = rng.integers(0, n, size=(rows, s), dtype=np.int32)
     idx.sort(axis=1)
-    rows, block = np.arange(n), idx     # block: the rows still being fixed
+    fixing, block = np.arange(rows), idx    # block: the rows still being fixed
     while True:
         # flat positions, split into (row, column): cheaper than 2-D nonzero
         repeats = np.flatnonzero(block[:, 1:] == block[:, :-1])
@@ -380,8 +425,17 @@ def _sorted_redraw(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
         r, c = np.divmod(repeats, s - 1)
         block[r, c + 1] = rng.integers(0, n, size=r.size, dtype=np.int32)
         bad = np.unique(r)
-        rows, block = rows[bad], np.sort(block[bad], axis=1)
-        idx[rows] = block
+        fixing, block = fixing[bad], np.sort(block[bad], axis=1)
+        idx[fixing] = block
+
+
+def _shuffled_rows(rng: np.random.Generator, n: int, s: int, rows: int) -> np.ndarray:
+    """(rows, s) int64 rows of distinct indices in 0..n-1, for 10s > 3n:
+    the first s entries of a uniform permutation of 0..n-1, which are a
+    uniform s-subset.  numpy shuffles each row of the (rows, n) tile in
+    C; a block's tile holds at most max(n, _DRAW_BLOCK / 0.3) entries."""
+    perm = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
+    return rng.permuted(perm, axis=1, out=perm)[:, :s]
 
 
 def _subsample_mean_matrix(sub: np.ndarray, n: int):
@@ -465,16 +519,7 @@ def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
     homogeneous shortcut's subsample mean as CSR row blocks in row order,
     one per worker that shares the product (see ``step``), or None."""
     n, d, m = v_hat.shape
-    errors = np.geterr()
-
-    def share(jobs, job, workers):   # job(i, k) for i < jobs, worker k taking i = k, k + workers, ...
-        def worker(k):
-            with np.errstate(**errors):   # numpy keeps the error state per thread
-                for i in range(k, jobs, workers):
-                    job(i, k)
-
-        ctx.workers.map(worker, min(workers, jobs))
-
+    share = ctx.workers.share
     if ctx.homogeneous:
         if sub_mean is None:
             diff = v_hat.mean(axis=0)[None, :, :] - v_hat
@@ -538,7 +583,7 @@ def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: floa
         ctx = ctx.order0
         x0, v0 = x0[:, :, :1], v0[:, :, :1]
     n = ens.n_particles
-    sub = draw_subsamples(rng, n, cfg.subsample_size)
+    sub = draw_subsamples(rng, n, cfg.subsample_size, ctx.workers)
     sub_mean = None
     if sub is not None and ctx.homogeneous:
         # one row block per worker when the mean's N*S*d*m multiply-adds
@@ -610,9 +655,10 @@ def run(
     Returns the list of (time, [observer outputs]) records and the final
     ensemble.  Each step uses an RNG stream derived from (seed, step
     index), so trajectories are reproducible and independent of how work
-    is scheduled.  ``threads`` workers share the row chunks and products
-    of the node path and the row blocks of the homogeneous shortcut's
-    subsample mean; the result is bit-identical for every count.
+    is scheduled.  ``threads`` workers share the row blocks of the
+    subsample draw, the row chunks and products of the node path and the
+    row blocks of the homogeneous shortcut's subsample mean; the result is
+    bit-identical for every count.
     """
     if observer_stride < 1:
         raise ConfigurationError(f"observer stride must be >= 1, got {observer_stride}")

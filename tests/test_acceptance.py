@@ -15,6 +15,7 @@ import pytest
 from swarmuq.cli import (
     _final_temperature,
     _oracle_temperature,
+    _run_threads,
     build_experiment,
     cmd_converge,
     cmd_run,
@@ -134,16 +135,18 @@ def test_c04_subsampling_error_law():
     spec = ModelSpec(basis=basis, alignment=CuckerSmaleParams(K="12+3*theta", gamma="0.0"))
     sweep = (10, 100, 1000)
     seeds = (301, 302, 303)
+    # on every usable core: a run's result does not depend on its workers
+    threads = _run_threads(None)
     signed = {s: [] for s in sweep}
     for seed in seeds:
         ref_cfg = SolverConfig(n_particles=n, dt=dt, t_end=t_end, subsample_size=n, seed=seed,
                                model=spec)
-        _, ref_fin = run(ic, ref_cfg)
+        _, ref_fin = run(ic, ref_cfg, threads=threads)
         t_ref = expected_temperature(ref_fin, basis)
         for s in sweep:
             cfg = SolverConfig(n_particles=n, dt=dt, t_end=t_end, subsample_size=s, seed=seed,
                                model=spec)
-            _, fin = run(ic, cfg)
+            _, fin = run(ic, cfg, threads=threads)
             signed[s].append(expected_temperature(fin, basis) - t_ref)
     xs = [np.log(1.0 / s - 1.0 / n) for s in sweep]
     ys = [np.log(abs(np.mean(signed[s]))) for s in sweep]

@@ -393,19 +393,24 @@ def test_solver_config_validation():
         ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 2))
 
 
-def test_subsamples_distinct_and_uniform():
+def test_subsamples_distinct_and_uniform(monkeypatch):
     rng = np.random.default_rng(99)
     assert draw_subsamples(rng, 50, 50) is None
     # up to 10 S = 3 N past the collision-light regime: the sorted redraw,
     # also at that edge
     for s in (20, 120):
         middle = draw_subsamples(np.random.default_rng(1), 400, s)
-        assert np.array_equal(middle, _sorted_redraw(np.random.default_rng(1), 400, s))
+        assert np.array_equal(middle, _sorted_redraw(np.random.default_rng(1), 400, s, 400))
     # single partner, collision-light, middle (also at its edge, S = 12 of
     # 40) and very dense regimes (from S = 13 of 40), >= 1e5 sampled
-    # indices each
-    for n, s, reps in ((40, 1, 2500), (40, 3, 850), (400, 20, 13), (40, 12, 210), (40, 13, 210),
-                       (40, 25, 120)):
+    # indices each; then each regime again in row blocks of 150, 150 and
+    # 100 rows or of 15, 15 and 10, drawn from three streams
+    one_block = solver._DRAW_BLOCK
+    for n, s, reps, block in ((40, 1, 2500, one_block), (40, 3, 850, one_block),
+                              (400, 20, 13, one_block), (40, 12, 210, one_block),
+                              (40, 13, 210, one_block), (40, 25, 120, one_block),
+                              (400, 4, 63, 150 * 4), (400, 20, 13, 150 * 20), (40, 13, 210, 15 * 13)):
+        monkeypatch.setattr(solver, "_DRAW_BLOCK", block)
         counts = np.zeros(n)
         draws = 0
         for _ in range(reps):
@@ -429,16 +434,17 @@ def test_subsample_sets_uniform_over_all_subsets():
     # for the sorted redraw and for the very dense regime of (6, 3)
     rng = np.random.default_rng(5)
     weights = 1 << np.arange(6)
-    for draw in (_sorted_redraw, draw_subsamples):
-        subs = np.concatenate([draw(rng, 6, 3) for _ in range(1000)])
+    for name, draw in (("sorted redraw", lambda: _sorted_redraw(rng, 6, 3, 6)),
+                       ("very dense", lambda: draw_subsamples(rng, 6, 3))):
+        subs = np.concatenate([draw() for _ in range(1000)])
         assert (np.diff(np.sort(subs, axis=1), axis=1) > 0).all()
-        if draw is _sorted_redraw:
+        if name == "sorted redraw":
             assert (np.diff(subs, axis=1) > 0).all(), "rows come out sorted"
         _, counts = np.unique(weights[subs].sum(axis=1), return_counts=True)
         assert counts.size == math.comb(6, 3)
         expected = subs.shape[0] / counts.size
         chi2 = ((counts - expected) ** 2 / expected).sum()
-        assert stats.chi2.sf(chi2, counts.size - 1) > 0.01, draw.__name__
+        assert stats.chi2.sf(chi2, counts.size - 1) > 0.01, name
 
 
 def test_collision_light_stream_is_unchanged():
@@ -451,6 +457,35 @@ def test_collision_light_stream_is_unchanged():
         assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
     middle = draw_subsamples(np.random.default_rng(7), 359, 10)
     assert middle.dtype == np.int32 and (np.diff(middle, axis=1) > 0).all()
+
+
+def test_draw_blocks_are_the_same_for_every_worker_count(monkeypatch):
+    # tables of three row blocks, the last one short, in each regime:
+    # block b is the regime's draw of its rows from the b-th jump of the
+    # step's stream (block 0 from the stream itself), whatever the number
+    # of workers sharing the blocks; a short switch interval interleaves
+    # the workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n, s, rows, draw in ((400, 4, 150, solver._rejection_rows), (400, 20, 150, _sorted_redraw),
+                                 (40, 13, 15, solver._shuffled_rows)):
+            monkeypatch.setattr(solver, "_DRAW_BLOCK", rows * s)
+            streams = [np.random.default_rng(3)] + [
+                np.random.Generator(np.random.default_rng(3).bit_generator.jumped(b)) for b in (1, 2)]
+            want = np.concatenate([draw(rng, n, s, min(rows, n - b * rows)) for b, rng in enumerate(streams)])
+            for threads in (1, 2, 3, 5):
+                workers = _Workers(threads)
+                try:
+                    got = draw_subsamples(np.random.default_rng(3), n, s, workers)
+                finally:
+                    workers.close()
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, s, threads)
+            assert (np.diff(np.sort(got, axis=1), axis=1) > 0).all(), "indices must be distinct"
+            assert got.min() >= 0 and got.max() < n
+            assert not np.array_equal(got[rows:2 * rows], got[:rows]), "blocks 0 and 1 share a stream"
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_forces_for_rows_match_allocating_reference():
