@@ -17,6 +17,7 @@ import configparser
 import dataclasses
 import functools
 import inspect
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +40,7 @@ from .diagnostics import (
 from .ensemble import ICKind, InitialCondition, save_snapshot
 from .errors import ConfigurationError, IntegrationBlowupError, SchemeFailureError
 from .gpc import PolynomialFamily, build_basis, tensor_basis
-from .models import CuckerSmaleParams, MorseSwarmParams
+from .models import CuckerSmaleParams, MorseSwarmParams, UncertainScalar
 from .pde_oracle import VelocityGrid, bimodal_density, oracle_expected_temperature, sg_homogeneous_solve
 from .solver import ModelSpec, SolverConfig, run
 
@@ -119,20 +120,34 @@ def _as_bool(text: str) -> bool:
         raise ValueError("choose from 1/0, true/false, yes/no, on/off") from None
 
 
+def _as_float(text: str) -> float:
+    """A real value; an infinity or a NaN is an error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _as_int(text: str) -> int:
     """An integer value, written as an integer or in exponent form (1e4);
     a fraction, an infinity or a NaN is an error."""
-    value = float(text)
-    if not value.is_integer():   # also False for inf and nan
+    value = _as_float(text)
+    if not value.is_integer():
         raise ValueError("not an integer")
     return int(value)
+
+
+def _as_affine(text: str) -> str:
+    """An uncertain scalar, affine in theta; kept as written."""
+    UncertainScalar.parse(text)
+    return text
 
 
 def _cast_like(default):
     """How to cast a config value whose default is ``default``."""
     if isinstance(default, bool):
         return _as_bool
-    return str if isinstance(default, str) else float
+    return _as_affine if isinstance(default, str) else _as_float
 
 
 def load_config(path) -> ExperimentConfig:
@@ -145,7 +160,8 @@ def load_config(path) -> ExperimentConfig:
         try:
             candidate = preset_path(str(path))
         except ConfigurationError:
-            raise ConfigurationError(f"config file {path!r} not found")
+            raise ConfigurationError(
+                f"config file {path!r} not found (shipped presets: {', '.join(available_presets())})")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(candidate) as fh:
@@ -183,8 +199,8 @@ def load_config(path) -> ExperimentConfig:
         subsample_size=get("experiment", "S", cast=_as_int),
         order=get("experiment", "M", cast=_as_int),
         quad_points=get("experiment", "Q", None, _as_int),
-        dt=get("experiment", "dt", cast=float),
-        t_end=get("experiment", "t_end", cast=float),
+        dt=get("experiment", "dt", cast=_as_float),
+        t_end=get("experiment", "t_end", cast=_as_float),
         seed=get("experiment", "seed", 0, _as_int),
         family=get("experiment", "family", "legendre", lambda s: PolynomialFamily(s.lower()).value),
         model_params=given("model", {key: _cast_like(value) for key, value in model_defaults.items()}),
@@ -193,16 +209,16 @@ def load_config(path) -> ExperimentConfig:
                                     for name, param in ic_signature.parameters.items()}),
         out_dir=get("output", "dir", "out"),
         stride=get("output", "stride", 1, _as_int),
-        grid_min=get("output", "grid_min", -2.0, float),
-        grid_max=get("output", "grid_max", 2.0, float),
+        grid_min=get("output", "grid_min", -2.0, _as_float),
+        grid_max=get("output", "grid_max", 2.0, _as_float),
         grid_bins=get("output", "grid_bins", 50, _as_int),
         pgm=get("output", "pgm", False, _as_bool),
-        integrator=get("experiment", "integrator", "rk4"),
+        integrator=get("experiment", "integrator", "rk4", _one_of("rk4", "euler")),
         reference=get("converge", "reference", "particle", _one_of("particle", "oracle")),
         reference_order=get("converge", "reference_order", None, _as_int),
         oracle_points=get("oracle", "points", 801, _as_int),
-        oracle_v_min=get("oracle", "v_min", -2.0, float),
-        oracle_v_max=get("oracle", "v_max", 2.0, float),
+        oracle_v_min=get("oracle", "v_min", -2.0, _as_float),
+        oracle_v_max=get("oracle", "v_max", 2.0, _as_float),
         source=str(candidate),
     )
     for section in parser.sections():

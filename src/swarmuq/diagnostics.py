@@ -89,8 +89,6 @@ def flocking_spreads(ens: GpcEnsemble, basis) -> tuple[np.ndarray, np.ndarray]:
     Gamma = 0.5 sum_{i != j} |x_i - x_j|^2, evaluated through the O(N)
     identity 0.5 sum_{i != j} |u_i - u_j|^2 = N sum_i |u_i - mean|^2.
     """
-    if ens.n_particles < 2:
-        raise ConfigurationError("spreads need at least two particles")
     x_nodes, v_nodes = evaluate_at_nodes(ens, basis)
     n = ens.n_particles
 

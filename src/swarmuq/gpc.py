@@ -126,12 +126,14 @@ class Basis:
         """Values of all modes at theta, shape (n_modes,) + theta.shape.
 
         ``theta`` is one value (or array) per random input: a scalar or
-        array for a one-input basis, a (theta1, theta2) pair for two.
+        array for a one-input basis, a (theta1, theta2) pair for two,
+        broadcast against each other.
         """
-        thetas = (theta,) if len(self.families) == 1 else theta
-        values = [_FAMILY_RULES[family][1](order, np.asarray(t, dtype=float))
+        thetas = np.broadcast_arrays(*((theta,) if len(self.families) == 1 else theta))
+        values = [_FAMILY_RULES[family][1](order, t)
                   for family, order, t in zip(self.families, self.orders, thetas)]
-        return functools.reduce(np.kron, values)
+        # the product runs over the mode axis only; theta's axes stay aligned
+        return functools.reduce(lambda a, b: (a[:, None] * b[None]).reshape((-1,) + a.shape[1:]), values)
 
     def projection_matrix(self) -> np.ndarray:
         """Matrix P with P[q, h] = w_q P_h(theta_q) / ||P_h||^2.

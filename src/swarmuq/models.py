@@ -8,16 +8,14 @@ input theta; every configuration used in practice is affine in theta.
 """
 from __future__ import annotations
 
+import ast
 import enum
-import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-_TERM_RE = re.compile(r"^([+-]?[0-9.eE+-]*)\s*\*?\s*(theta)?$")
 
 
 @dataclass(frozen=True)
@@ -34,59 +32,55 @@ class UncertainScalar:
 
     @classmethod
     def parse(cls, text: str) -> "UncertainScalar":
-        """Parse expressions like ``"1.0 + 0.25*theta"``, ``"5"``, ``"-theta"``."""
-        compact = text.replace(" ", "")
-        if not compact:
-            raise ConfigurationError("empty uncertain-scalar expression")
-        # Split into signed terms, keeping the signs.
-        chunks = re.split(r"(?<![eE+-])([+-])", compact)
-        terms = []
-        sign = 1.0
-        for chunk in chunks:
-            if chunk == "+":
-                sign = 1.0
-            elif chunk == "-":
-                sign = -1.0
-            elif chunk:
-                terms.append((sign, chunk))
-                sign = 1.0
-        c0 = 0.0
-        c1 = 0.0
-        for sign, term in terms:
-            match = _TERM_RE.match(term)
-            if match is None:
-                raise ConfigurationError(f"cannot parse uncertain scalar term {term!r} in {text!r}")
-            coeff_text, has_theta = match.groups()
-            if coeff_text in ("", "+", "-"):
-                coeff = 1.0 if coeff_text != "-" else -1.0
-            else:
-                try:
-                    coeff = float(coeff_text)
-                except ValueError as exc:
-                    raise ConfigurationError(f"bad coefficient {coeff_text!r} in {text!r}") from exc
-            if has_theta:
-                c1 += sign * coeff
-            else:
-                c0 += sign * coeff
-        return cls(c0, c1)
+        """Parse expressions like ``"1.0 + 0.25*theta"``, ``"5"``, ``"-theta"``.
+
+        The grammar is Python's, cut down to numbers, ``theta``, unary and
+        binary ``+``/``-``, ``*`` and parentheses, with an affine result.
+        """
+        try:
+            c0, c1 = _affine(ast.parse(text.strip(), mode="eval").body)
+        except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+            raise ConfigurationError(f"{text!r} is not affine in theta: {exc.args[0]}") from None
+        if not (np.isfinite(c0) and np.isfinite(c1)):
+            raise ConfigurationError(f"{text!r} has a non-finite coefficient")
+        return cls(c0 + 0.0, c1 + 0.0)   # + 0.0: no -0.0 coefficients
 
     @property
     def is_constant(self) -> bool:
         return self.c1 == 0.0
 
     def __call__(self, theta):
-        if self.c1 == 0.0:
-            return self.c0 + np.zeros_like(np.asarray(theta, dtype=float)) if np.ndim(theta) else self.c0
-        return self.c0 + self.c1 * np.asarray(theta, dtype=float) if np.ndim(theta) else self.c0 + self.c1 * theta
+        return self.c0 + self.c1 * np.asarray(theta, dtype=float)
 
     def min_on(self, thetas) -> float:
-        return float(np.min(self(np.asarray(thetas, dtype=float))))
+        return float(np.min(self(thetas)))
 
     def __str__(self) -> str:
         if self.is_constant:
             return f"{self.c0:g}"
         op = "+" if self.c1 >= 0 else "-"
         return f"{self.c0:g} {op} {abs(self.c1):g}*theta"
+
+
+def _affine(node) -> tuple[float, float]:
+    """(c0, c1) of the expression tree ``node``, affine in theta."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value), 0.0
+    if isinstance(node, ast.Name) and node.id == "theta":
+        return 0.0, 1.0
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        c0, c1 = _affine(node.operand)
+        return (-c0, -c1) if isinstance(node.op, ast.USub) else (c0, c1)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+        (a0, a1), (b0, b1) = _affine(node.left), _affine(node.right)
+        if isinstance(node.op, ast.Add):
+            return a0 + b0, a1 + b1
+        if isinstance(node.op, ast.Sub):
+            return a0 - b0, a1 - b1
+        if a1 and b1:
+            raise ValueError("a product of two theta terms")
+        return a0 * b0, a0 * b1 + a1 * b0
+    raise ValueError(f"{ast.unparse(node)!r} is not a number, theta, + - * or parentheses")
 
 
 def _as_uncertain(value) -> UncertainScalar:

@@ -153,10 +153,10 @@ class SolverConfig:
             raise ConfigurationError(
                 f"subsample size must lie in [1, N={self.n_particles}], got {self.subsample_size}"
             )
-        if self.t_end < 0:
-            raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.dt < 0 or (self.dt == 0 and self.t_end > 0):
-            raise ConfigurationError(f"dt must be positive for t_end > 0, got dt={self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise ConfigurationError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if not 0 <= self.dt < math.inf or (self.dt == 0 and self.t_end > 0):
+            raise ConfigurationError(f"dt must be finite, and positive for t_end > 0, got dt={self.dt}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.integrator not in ("rk4", "euler"):

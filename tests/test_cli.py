@@ -166,11 +166,6 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     cfg_path2 = _write(tmp_path, broken, name="broken.cfg", out=str(out))
     assert cmd_run(str(cfg_path2)) == 2
     assert not out.exists()
-    # unparseable model expression
-    garbled = MINI_CONFIG.replace("gamma = 0.1 + 0.05*theta", "gamma = sqrt(theta)")
-    cfg_path3 = _write(tmp_path, garbled, name="garbled.cfg", out=str(out))
-    assert cmd_run(str(cfg_path3)) == 2
-    assert not out.exists()
     # bad [output] values
     for bad_output in ("stride = 0", "stride = 5\ngrid_bins = 0",
                        "stride = 5\ngrid_min = 2\ngrid_max = -2"):
@@ -184,6 +179,7 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     for text, key in ((MINI_2D + "\n[initial]\nr_outer = wide\n", "r_outer"),
                       (MINI_2D.replace("pgm = true", "pgm = maybe"), "pgm"),
                       (MINI_CONFIG + "\n[converge]\nreference = bogus\n", "reference"),
+                      (MINI_CONFIG.replace("seed = 7", "seed = 7\nintegrator = verlet"), "integrator"),
                       (MINI_CONFIG + "\n[initial]\nr_middle = 0.7\n", "r_middle")):
         assert cmd_run(str(_write(tmp_path, text, name="value.cfg", out=str(out)))) == 2, key
         assert not out.exists()
@@ -205,6 +201,30 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
             assert cmd_run(str(_write(tmp_path, text, name="int.cfg", out=str(out)))) == 2, (key, value)
             assert not out.exists()
             assert f"] {key}: " in capsys.readouterr().err, (key, value)
+    # every real-valued key, [model] and [initial] numbers included, takes
+    # a finite value
+    mill = MINI_2D.replace("kind = cs_2d", "kind = mill_2d").replace("K = 1.0\ngamma = 0.1 + 0.05*theta", "a = 0.07")
+    for value in ("nan", "inf", "-inf", "1e400"):
+        for text, key in ((MINI_CONFIG.replace("dt = 0.01", f"dt = {value}"), "dt"),
+                          (MINI_CONFIG.replace("t_end = 0.1", f"t_end = {value}"), "t_end"),
+                          (MINI_CONFIG.replace("stride = 5", f"stride = 5\ngrid_min = {value}"), "grid_min"),
+                          (MINI_CONFIG.replace("stride = 5", f"stride = 5\ngrid_max = {value}"), "grid_max"),
+                          (MINI_CONFIG + f"\n[oracle]\nv_min = {value}\n", "v_min"),
+                          (MINI_CONFIG + f"\n[oracle]\nv_max = {value}\n", "v_max"),
+                          (MINI_CONFIG + f"\n[initial]\nvbar = {value}\n", "vbar"),
+                          (mill.replace("a = 0.07", f"a = {value}"), "a"),
+                          (mill.replace("a = 0.07", f"ell_r = {value}"), "ell_r")):
+            assert cmd_run(str(_write(tmp_path, text, name="float.cfg", out=str(out)))) == 2, (key, value)
+            assert not out.exists()
+            assert f"] {key}: " in capsys.readouterr().err, (key, value)
+    # an uncertain [model] value is a number, theta, + - * and parentheses,
+    # affine in theta and with finite coefficients
+    for value in ("+", "1 0", "1.0 +", "theta -", "3theta", "theta*theta", "1e400", "sqrt(theta)"):
+        for text, key in ((MINI_CONFIG.replace("gamma = 0.1 + 0.05*theta", f"gamma = {value}"), "gamma"),
+                          (MINI_CONFIG.replace("K = 1.0", f"K = {value}"), "k")):
+            assert cmd_run(str(_write(tmp_path, text, name="model.cfg", out=str(out)))) == 2, (key, value)
+            assert not out.exists()
+            assert f"] {key}: {value!r}" in capsys.readouterr().err, (key, value)
     # a negative seed fails in run and in converge, not inside the RNG
     negative = _write(tmp_path, MINI_CONFIG.replace("seed = 7", "seed = -1"), name="seed.cfg", out=str(out))
     assert cmd_run(str(negative)) == 2
@@ -248,7 +268,20 @@ def test_counterclockwise_false_runs_clockwise(tmp_path):
 
 def test_missing_config_file_exits_2(capsys):
     assert cmd_run("/nonexistent/path.cfg") == 2
-    assert "not found" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not found" in err
+    assert "cs_1d_desk" in err   # the message lists the shipped presets
+
+
+def test_run_with_one_particle(tmp_path):
+    out = tmp_path / "single"
+    text = MINI_CONFIG.replace("N = 200", "N = 1").replace("S = 5", "S = 1")
+    assert cmd_run(str(_write(tmp_path, text, out=str(out)))) == 0
+    lines = (out / "stats.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for row in lines[1:]:
+        values = dict(zip(header, map(float, row.split(","))))
+        assert values["Lambda"] == 0.0 and values["Gamma"] == 0.0
 
 
 def test_homogeneous_requires_zero_gamma(tmp_path):

@@ -184,6 +184,24 @@ def test_tensor_basis_layout_and_orthogonality():
         tb.nodes[0, 0] = 7.0
 
 
+def test_tensor_basis_evaluates_arrays_pointwise():
+    # array inputs are evaluated point by point, never at mixed (theta1, theta2) pairs
+    b1 = build_basis(PolynomialFamily.LEGENDRE, 2)
+    b2 = build_basis(PolynomialFamily.HERMITE, 3)
+    tb = tensor_basis(b1, b2)
+    t1, t2 = np.array([0.3, -0.8, 0.1]), np.array([1.5, 0.2, -2.0])
+    vals = tb.eval_basis((t1, t2))
+    assert vals.shape == (tb.n_modes, 3)
+    for p in range(3):
+        assert np.array_equal(vals[:, p], tb.eval_basis((t1[p], t2[p])))
+    # a scalar input broadcasts against the other input's array
+    assert np.array_equal(tb.eval_basis((0.3, t2)), tb.eval_basis((np.full(3, 0.3), t2)))
+    coeffs = np.arange(tb.n_modes, dtype=float)
+    recon = reconstruct_at(coeffs, (t1, t2), tb)
+    assert recon.shape == (3,)
+    assert np.allclose(recon, [reconstruct_at(coeffs, (t1[p], t2[p]), tb) for p in range(3)], rtol=1e-14)
+
+
 def test_tensor_projection_separable_function():
     tb = tensor_basis(
         build_basis(PolynomialFamily.LEGENDRE, 2),

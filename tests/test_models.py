@@ -52,6 +52,23 @@ def test_uncertain_scalar_rejects_garbage():
             UncertainScalar.parse(bad)
 
 
+def test_uncertain_scalar_grammar():
+    # Python's expression grammar, cut down to an affine result
+    same = {"theta*2": "2*theta", "2*(1+theta)": "2 + 2*theta", "-(1 - theta)": "-1 + theta",
+            "(0.1 + 0.05*theta)": "0.1+0.05*theta", "+theta": "theta"}
+    for text, plain in same.items():
+        u, v = UncertainScalar.parse(text), UncertainScalar.parse(plain)
+        assert (u.c0, u.c1) == (v.c0, v.c1), text
+    # no coefficient is a negative zero
+    for text in ("-0.3*theta", "-theta", "-0", "-theta*0"):
+        u = UncertainScalar.parse(text)
+        assert np.copysign(1.0, u.c0) == 1.0 and (u.c1 != 0.0 or np.copysign(1.0, u.c1) == 1.0), text
+    for bad in ("+", "1 0", "1.0 +", "theta -", "3theta", "1e400", "1e400 - 1e400", "theta/2",
+                "theta**2", "True", "1j", "(theta - 1)*(theta + 1)", "x", "+".join(["1"] * 5000)):
+        with pytest.raises(ConfigurationError):
+            UncertainScalar.parse(bad)
+
+
 def test_uncertain_scalar_evaluation():
     u = UncertainScalar(2.0, -0.5)
     assert u(0.0) == 2.0

@@ -384,6 +384,11 @@ def test_solver_config_validation():
         SolverConfig(n_particles=10, dt=0.0, t_end=1.0, subsample_size=5, seed=0, model=spec)
     with pytest.raises(ConfigurationError):
         SolverConfig(n_particles=10, dt=0.01, t_end=-1.0, subsample_size=5, seed=0, model=spec)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SolverConfig(n_particles=10, dt=value, t_end=1.0, subsample_size=5, seed=0, model=spec)
+        with pytest.raises(ConfigurationError, match="finite"):
+            SolverConfig(n_particles=10, dt=0.01, t_end=value, subsample_size=5, seed=0, model=spec)
     with pytest.raises(ConfigurationError):
         SolverConfig(n_particles=10, dt=0.01, t_end=1.0, subsample_size=5, seed=0, model=spec,
                      integrator="verlet")
