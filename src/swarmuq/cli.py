@@ -34,6 +34,7 @@ from .diagnostics import (
     velocity_field,
     write_density_csv,
     write_pgm,
+    write_rows,
     write_stats_csv,
     write_velocity_field_csv,
 )
@@ -261,7 +262,7 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[InitialCondition, SolverCon
     model_values = _model(cfg)
     alignment = _force(CuckerSmaleParams, model_values)
     morse = _force(MorseSwarmParams, model_values)
-    if cfg.kind == "homogeneous" and not (alignment.gamma.is_constant and alignment.gamma.c0 == 0.0):
+    if cfg.kind == "homogeneous" and not alignment.position_independent:
         raise ConfigurationError(
             f"{cfg.source}: the homogeneous experiment requires gamma = 0, got {alignment.gamma}"
         )
@@ -450,15 +451,11 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     threads = threads or 1   # sweep points in parallel, each run on one thread
     with ThreadPoolExecutor(max_workers=threads) as pool:
         temps = list(pool.map(lambda pc: _final_temperature(pc[1]), points))
-    with open(out_dir / "errors.csv", "w") as fh:
-        fh.write("M,S,N,temperature,reference,abs_error,rel_error\n")
-        for (value, point_cfg), temp in zip(points, temps):
-            fh.write(
-                f"{point_cfg.order},{point_cfg.subsample_size},{point_cfg.n_particles},"
-                f"{temp!r},{reference!r},"
-                f"{convergence_error(temp, reference)!r},"
-                f"{convergence_error(temp, reference, relative=True)!r}\n"
-            )
+    write_rows(out_dir / "errors.csv",
+               ((point_cfg.order, point_cfg.subsample_size, point_cfg.n_particles, temp, reference,
+                 convergence_error(temp, reference), convergence_error(temp, reference, relative=True))
+                for (_, point_cfg), temp in zip(points, temps)),
+               ["M,S,N,temperature,reference,abs_error,rel_error"])
     _write_manifest(out_dir, cfg, f"converge --sweep {sweep}", threads,
                     extra={"reference_value": reference})
     return 0
@@ -479,19 +476,14 @@ def cmd_oracle(config_path, out: str | None = None) -> int:
         observers=[lambda s: history.append((s.time, oracle_expected_temperature(s, basis)))],
         observer_stride=stride,
     )
-    with open(out_dir / "oracle_solution.csv", "w") as fh:
-        for j in range(grid.n_points):
-            fh.write(",".join(repr(float(x)) for x in sol.coeffs[:, j]) + "\n")
+    write_rows(out_dir / "oracle_solution.csv", sol.coeffs.T)
     meta = {
         "v_min": grid.v_min, "v_max": grid.v_max, "n_points": grid.n_points,
         "M": cfg.order, "family": cfg.family, "time": sol.time, "u": sol.u,
     }
     (out_dir / "oracle_solution.csv.meta.txt").write_text(
         "".join(f"{k}={v}\n" for k, v in meta.items()))
-    with open(out_dir / "oracle_temperature.csv", "w") as fh:
-        fh.write("t,temperature\n")
-        for t, temp in history:
-            fh.write(f"{t!r},{temp!r}\n")
+    write_rows(out_dir / "oracle_temperature.csv", history, ["t,temperature"])
     _write_manifest(out_dir, cfg, "oracle", 1)
     return 0
 
@@ -520,9 +512,9 @@ def main(argv=None) -> int:
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
             p.add_argument("--threads", type=_positive_int, default=None,
-                           help="worker threads: for run, those that share each stage's work (default and "
-                                "limit: the usable cores); for converge, the sweep points run at once "
-                                "(default 1)")
+                           help="worker threads: for run, those that share each step's subsample draw and "
+                                "each stage's work (default and limit: the usable cores); for converge, "
+                                "the sweep points run at once (default 1)")
         return p
 
     command("run", "integrate one experiment and emit artifacts")

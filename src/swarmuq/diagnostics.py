@@ -156,30 +156,36 @@ def compute_stats(ens: GpcEnsemble, basis) -> StatRecord:
 STATS_HEADER = "t,temperature,mean_vx,mean_vy,Lambda,Gamma,speed_mean,speed_std,ccw_frac"
 
 
+def write_rows(path, rows, header=()) -> None:
+    """A CSV table: the ``header`` lines, then one line per row, each
+    integer written as itself and any other number as repr(float(x)),
+    which reads back to the same double."""
+    with open(path, "w") as fh:
+        for line in header:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row) + "\n")
+
+
 def write_stats_csv(records, path) -> None:
     """Time series of StatRecord rows; mean_vy and ccw_frac are NaN in 1D."""
-    with open(path, "w") as fh:
-        fh.write(STATS_HEADER + "\n")
-        for rec in records:
-            vx = rec.mean_velocity[0]
-            vy = rec.mean_velocity[1] if len(rec.mean_velocity) > 1 else float("nan")
-            row = (rec.time, rec.expected_temperature, vx, vy, rec.velocity_spread,
-                   rec.position_spread, rec.speed_mean, rec.speed_std, rec.ccw_frac)
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    rows = []
+    for rec in records:
+        vx = rec.mean_velocity[0]
+        vy = rec.mean_velocity[1] if len(rec.mean_velocity) > 1 else float("nan")
+        rows.append((rec.time, rec.expected_temperature, vx, vy, rec.velocity_spread,
+                     rec.position_spread, rec.speed_mean, rec.speed_std, rec.ccw_frac))
+    write_rows(path, rows, [STATS_HEADER])
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:
     """Grid values as CSV preceded by an axes header block (# comments)."""
     values = grid.values
-    with open(path, "w") as fh:
-        fh.write(f"# kind={grid.kind}\n")
-        for d, (lo, hi, nb) in enumerate(grid.axes):
-            fh.write(f"# axis{d}=min:{lo!r},max:{hi!r},bins:{nb}\n")
-        fh.write(f"# total_mass={grid.total_mass!r}\n")
-        fh.write(f"# spill={grid.spill}\n")
-        flat = values.reshape(values.shape[0], -1) if values.ndim > 1 else values[None, :]
-        for row in flat:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    header = [f"# kind={grid.kind}"]
+    header += [f"# axis{d}=min:{lo!r},max:{hi!r},bins:{nb}" for d, (lo, hi, nb) in enumerate(grid.axes)]
+    header += [f"# total_mass={grid.total_mass!r}", f"# spill={grid.spill}"]
+    flat = values.reshape(values.shape[0], -1) if values.ndim > 1 else values[None, :]
+    write_rows(path, flat, header)
 
 
 def write_pgm(grid: DensityGrid, path) -> None:
@@ -220,9 +226,6 @@ def velocity_field(ens: GpcEnsemble, axes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_velocity_field_csv(counts: np.ndarray, means: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("i,j,count,vx,vy\n")
-        nx, ny = counts.shape
-        for i in range(nx):
-            for j in range(ny):
-                fh.write(f"{i},{j},{int(counts[i, j])},{float(means[i, j, 0])!r},{float(means[i, j, 1])!r}\n")
+    nx, ny = counts.shape
+    write_rows(path, ((i, j, int(counts[i, j]), means[i, j, 0], means[i, j, 1])
+                      for i in range(nx) for j in range(ny)), ["i,j,count,vx,vy"])

@@ -22,9 +22,10 @@ from .errors import ConfigurationError
 class UncertainScalar:
     """A scalar parameter as a function of the random input: c0 + c1 * theta.
 
-    Constant parameters have c1 == 0 and ignore theta.  More general
-    theta-dependence is deliberately not supported; affine covers every
-    configuration exercised by the models here.
+    Both coefficients are finite.  Constant parameters have c1 == 0 and
+    ignore theta.  More general theta-dependence is deliberately not
+    supported; affine covers every configuration exercised by the models
+    here.
     """
 
     c0: float
@@ -41,9 +42,11 @@ class UncertainScalar:
             c0, c1 = _affine(ast.parse(text.strip(), mode="eval").body)
         except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
             raise ConfigurationError(f"{text!r} is not affine in theta: {exc.args[0]}") from None
-        if not (np.isfinite(c0) and np.isfinite(c1)):
-            raise ConfigurationError(f"{text!r} has a non-finite coefficient")
         return cls(c0 + 0.0, c1 + 0.0)   # + 0.0: no -0.0 coefficients
+
+    def __post_init__(self):
+        if not (np.isfinite(self.c0) and np.isfinite(self.c1)):
+            raise ConfigurationError(f"non-finite coefficient in c0={self.c0}, c1={self.c1}")
 
     @property
     def is_constant(self) -> bool:
@@ -111,6 +114,11 @@ class CuckerSmaleParams:
         if self.gamma(0.0) < 0.0:
             raise ConfigurationError(f"decay exponent must be nonnegative, got gamma = {self.gamma}")
 
+    @property
+    def position_independent(self) -> bool:
+        """Whether the kernel ignores the distance: gamma is identically 0."""
+        return self.gamma.is_constant and self.gamma.c0 == 0.0
+
     def validate_at(self, nodes) -> None:
         if self.K.min_on(nodes) <= 0.0:
             raise ConfigurationError(f"K = {self.K} is not positive at every quadrature node")
@@ -132,11 +140,12 @@ class MorseSwarmParams:
     def __post_init__(self):
         object.__setattr__(self, "C_A", _as_uncertain(self.C_A))
         object.__setattr__(self, "C_R", _as_uncertain(self.C_R))
-        if self.a < 0 or self.b < 0:
-            raise ConfigurationError(f"a, b must be nonnegative, got a={self.a}, b={self.b}")
-        if self.ell_A <= 0 or self.ell_R <= 0:
+        # written so that a NaN or an infinity fails as well
+        if not (0 <= self.a < np.inf and 0 <= self.b < np.inf):
+            raise ConfigurationError(f"a, b must be finite and nonnegative, got a={self.a}, b={self.b}")
+        if not (0 < self.ell_A < np.inf and 0 < self.ell_R < np.inf):
             raise ConfigurationError(
-                f"interaction lengths must be positive, got ell_A={self.ell_A}, ell_R={self.ell_R}"
+                f"interaction lengths must be finite and positive, got ell_A={self.ell_A}, ell_R={self.ell_R}"
             )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, SchemeFailureError
 from .gpc import Basis
 from .models import UncertainScalar, _as_uncertain
-from .timegrid import time_steps
+from .timegrid import march, rk4
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ def sg_homogeneous_solve(
     f0 must be nonnegative with unit discrete mass.  dt defaults to dv^2
     and must not exceed it.  Observers are callables of the current
     SgDensity, fired on the initial state, every ``observer_stride``
-    steps, and at t_end.
+    steps, and at t_end.  The mode-0 mass and the finiteness of the
+    coefficients are checked every 200 steps and on the returned state.
     """
     K = _as_uncertain(K)
     f0 = np.asarray(f0, dtype=float)
@@ -90,7 +91,7 @@ def sg_homogeneous_solve(
         raise ConfigurationError(f"f0 must have {grid.n_points} values, got shape {f0.shape}")
     if (f0 < 0).any():
         raise ConfigurationError("initial density must be nonnegative")
-    if abs(f0.sum() * dv - 1.0) > 1e-8:
+    if not abs(f0.sum() * dv - 1.0) <= 1e-8:   # a NaN fails too
         raise ConfigurationError(f"initial density mass is {f0.sum() * dv!r}, expected 1")
     if dt is None:
         dt = dv * dv
@@ -115,34 +116,29 @@ def sg_homogeneous_solve(
         # to zero exactly; they vanish anyway on a wide enough domain.
         out[:, 0] = (flux[:, 1] + flux[:, 0]) / (2 * dv)
         out[:, -1] = -(flux[:, -1] + flux[:, -2]) / (2 * dv)
-        return out
+        return (out,)
 
-    sol = SgDensity(grid=grid, coeffs=coeffs, time=0.0, u=u)
+    def check(sol):
+        drift_err = abs(sol.coeffs[0].sum() * dv - 1.0)
+        if drift_err > 1e-6:
+            raise SchemeFailureError(f"mode-0 mass drifted by {drift_err:.3e} at t={sol.time:g}")
+        if not np.isfinite(sol.coeffs).all():
+            raise SchemeFailureError(f"non-finite coefficients at t={sol.time:g}")
 
-    def observe():
+    def advance(sol, k, h):
+        (sol.coeffs,) = rk4(rhs, (sol.coeffs,), h)
+        sol.time += h
+        if (k + 1) % 200 == 0:
+            check(sol)
+        return sol
+
+    def observe(sol):
         for obs in observers:
             obs(SgDensity(grid=grid, coeffs=sol.coeffs.copy(), time=sol.time, u=sol.u))
 
-    observe()
-    dts = time_steps(t_end, dt)
-    for step_index, h in enumerate(dts):
-        c = sol.coeffs
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
-        sol.coeffs = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sol.time += h
-        if (step_index + 1) % 200 == 0 or step_index + 1 == len(dts):
-            drift_err = abs(sol.coeffs[0].sum() * dv - 1.0)
-            if drift_err > 1e-6:
-                raise SchemeFailureError(
-                    f"mode-0 mass drifted by {drift_err:.3e} at t={sol.time:g}"
-                )
-            if not np.isfinite(sol.coeffs).all():
-                raise SchemeFailureError(f"non-finite coefficients at t={sol.time:g}")
-        if (step_index + 1) % observer_stride == 0 or step_index + 1 == len(dts):
-            observe()
+    sol = march(SgDensity(grid=grid, coeffs=coeffs, time=0.0, u=u), advance, t_end, dt, observe,
+                observer_stride)
+    check(sol)
     return sol
 
 

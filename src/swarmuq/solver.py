@@ -5,7 +5,10 @@ Each step draws, per particle, a subsample of S interaction partners
 pairwise kernels are evaluated at the quadrature nodes of the random
 input, combined with the reconstructed states there, and projected back
 onto the basis.  The subsample is frozen across the stages of one
-Runge-Kutta step so that every step integrates a consistent ODE.
+Runge-Kutta step so that every step integrates a consistent ODE.  The
+stepping itself is ``timegrid``'s: ``step`` hands its rate to
+``timegrid.rk4`` or ``timegrid.euler``, and ``run`` steps along
+``timegrid.march``.
 
 Cost per step is O(N * S * n_modes * n_nodes): positions and velocities
 are reconstructed at the nodes once per stage and reused for every pair.
@@ -24,11 +27,11 @@ rows with P partners each.  The projection runs once per stage, after
 the last chunk, because BLAS rounds a row of a product differently with
 the number of rows around it, and the result must not depend on the
 chunk size.  Still allocated per step are the subsample table, the
-homogeneous shortcut's CSR mean blocks and RK4's weighted sums of the
-rates; per stage, the stage state and the modal rate.  Keeping the CSR
-``data`` and ``indptr`` for the whole run saved about 0.03 s of a 2 s
-homogeneous_dense run but raised its peak RSS by 1.4 MB, so they are
-rebuilt with the matrix each step.
+homogeneous shortcut's CSR mean blocks and the weighted sums of the
+rates that ``timegrid.rk4`` keeps; per stage, the stage state and the
+modal rate.  Keeping the CSR ``data`` and ``indptr`` for the whole run
+saved about 0.03 s of a 2 s homogeneous_dense run but raised its peak
+RSS by 1.4 MB, so they are rebuilt with the matrix each step.
 
 Threads: with W workers (``run(..., threads=W)``) the step's subsample
 draw and each phase of a stage (the homogeneous shortcut's subsample
@@ -70,7 +73,7 @@ from .models import (
     alignment_kernel,
     morse_radial_slope,
 )
-from .timegrid import time_steps
+from .timegrid import check_grid, euler, march, rk4
 
 # Elements of the (d, R, P, Q) partner buffers of all workers together:
 # 1 MiB of float64, so that one worker's buffer and the (R, P, Q) arrays
@@ -153,10 +156,7 @@ class SolverConfig:
             raise ConfigurationError(
                 f"subsample size must lie in [1, N={self.n_particles}], got {self.subsample_size}"
             )
-        if not 0 <= self.t_end < math.inf:
-            raise ConfigurationError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if not 0 <= self.dt < math.inf or (self.dt == 0 and self.t_end > 0):
-            raise ConfigurationError(f"dt must be finite, and positive for t_end > 0, got dt={self.dt}")
+        check_grid(self.t_end, self.dt)
         if self.seed < 0:
             raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.integrator not in ("rk4", "euler"):
@@ -264,7 +264,7 @@ class _Context:
         # BLAS: the per-dimension products make the same calls
         self.proj = np.ascontiguousarray(basis.projection_matrix())
         align = model.alignment
-        self.homogeneous = align is not None and align.gamma.is_constant and align.gamma.c0 == 0.0
+        self.homogeneous = align is not None and align.position_independent
         if align is not None:
             self.k_nodes = np.atleast_1d(align.K(model.alignment_nodes))
             self.g_nodes = np.atleast_1d(align.gamma(model.alignment_nodes))
@@ -595,33 +595,10 @@ def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: floa
     def rhs(x_hat, v_hat):
         return v_hat, _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx)
 
+    integrate = euler if cfg.integrator == "euler" else rk4
     # overflow in a diverging run is reported via the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.integrator == "euler":
-            kx, kv = rhs(x0, v0)
-            x_new = x0 + dt * kx
-            v_new = v0 + dt * kv
-        else:
-            # k1 + 2 k2 + 2 k3 + k4 is summed stage by stage, in that order,
-            # and each k dropped after its last use, so that 5 (N, d, m)
-            # arrays are alive in stage 4, not 8.  The first sum allocates:
-            # kx1 is v0, the ensemble's own array or a view of it.
-            kx1, kv1 = rhs(x0, v0)
-            kx2, kv2 = rhs(x0 + 0.5 * dt * kx1, v0 + 0.5 * dt * kv1)
-            sum_x, sum_v = kx1 + 2.0 * kx2, kv1 + 2.0 * kv2
-            x_in, v_in = x0 + 0.5 * dt * kx2, v0 + 0.5 * dt * kv2
-            del kx1, kv1, kx2, kv2
-            kx3, kv3 = rhs(x_in, v_in)
-            x_in, v_in = x0 + dt * kx3, v0 + dt * kv3
-            sum_x += 2.0 * kx3
-            sum_v += 2.0 * kv3
-            del kx3, kv3
-            kx4, kv4 = rhs(x_in, v_in)
-            sum_x += kx4
-            sum_v += kv4
-            del x_in, v_in, kx4, kv4
-            x_new = x0 + (dt / 6.0) * sum_x
-            v_new = v0 + (dt / 6.0) * sum_v
+        x_new, v_new = integrate(rhs, (x0, v0), dt)
     if deterministic:
         pad = ((0, 0), (0, 0), (0, ens.n_modes - 1))
         x_new, v_new = np.pad(x_new, pad), np.pad(v_new, pad)
@@ -660,25 +637,23 @@ def run(
     row blocks of the homogeneous shortcut's subsample mean; the result is
     bit-identical for every count.
     """
-    if observer_stride < 1:
-        raise ConfigurationError(f"observer stride must be >= 1, got {observer_stride}")
     if threads < 1:
         raise ConfigurationError(f"need at least one worker thread, got {threads}")
-    ens = sample_initial(ic, cfg.n_particles, cfg.seed, cfg.model.basis.n_modes)
     records = []
+    workers = _Workers(threads)
+    ctx = _Context(cfg.model, workers)
+
+    def advance(e, k, dt):
+        return step(e, cfg, _step_rng(cfg.seed, k), dt=dt, ctx=ctx)
 
     def observe(e):
         records.append((e.time, [obs(e) for obs in observers]))
 
-    observe(ens)
-    workers = _Workers(threads)
-    ctx = _Context(cfg.model, workers)
-    dts = time_steps(cfg.t_end, cfg.dt)
     try:
-        for k, dt in enumerate(dts):
-            ens = step(ens, cfg, _step_rng(cfg.seed, k), dt=dt, ctx=ctx)
-            if (k + 1) % observer_stride == 0 or k + 1 == len(dts):
-                observe(ens)
+        # no name here holds the initial ensemble, which would keep it
+        # alive through the run; Python 3.10 still does until march returns
+        ens = march(sample_initial(ic, cfg.n_particles, cfg.seed, cfg.model.basis.n_modes), advance,
+                    cfg.t_end, cfg.dt, observe, observer_stride)
     finally:
         workers.close()
     return records, ens

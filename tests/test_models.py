@@ -131,6 +131,13 @@ def test_cs_params_validation():
     params = CuckerSmaleParams(K="0.1 + theta", gamma=0.0)  # center-positive
     with pytest.raises(ConfigurationError):
         params.validate_at(np.array([-0.9, 0.9]))
+    # a NaN or an infinite number, plain or as a coefficient, is refused
+    for K, gamma in ((np.nan, 0.0), (1.0, np.inf), (-np.inf, 0.0), (1.0, "1e400*theta"),
+                     (UncertainScalar(1.0, 0.5), 0.0 * np.inf)):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            CuckerSmaleParams(K=K, gamma=gamma)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        UncertainScalar(1.0, np.nan)
 
 
 def test_morse_potential_values():
@@ -187,6 +194,12 @@ def test_morse_params_validation():
         MorseSwarmParams(a=-0.1, b=0.0, C_A=1.0, C_R=1.0, ell_A=1.0, ell_R=1.0)
     with pytest.raises(ConfigurationError):
         MorseSwarmParams(a=0.0, b=0.0, C_A=1.0, C_R=1.0, ell_A=0.0, ell_R=1.0)
+    # NaN and +-inf fail every sign check, and the strengths' finiteness check
+    good = dict(a=0.7, b=0.5, C_A=30.0, C_R=10.0, ell_A=100.0, ell_R=3.0)
+    for key in good:
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                MorseSwarmParams(**{**good, key: value})
 
 
 def test_flocking_criterion_regimes():

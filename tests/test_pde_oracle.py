@@ -133,6 +133,8 @@ def test_solver_rejects_bad_inputs():
         sg_homogeneous_solve(good, "-1.0", basis, grid, t_end=0.1)
     with pytest.raises(ConfigurationError):
         sg_homogeneous_solve(good[:-1], 1.0, basis, grid, t_end=0.1)
+    with pytest.raises(ConfigurationError):
+        sg_homogeneous_solve(np.where(good > good.max() / 2, np.nan, good), 1.0, basis, grid, t_end=0.1)
 
 
 def test_blowup_reports_scheme_failure():
