@@ -16,7 +16,6 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import inspect
 import math
 import os
 import sys
@@ -38,7 +37,7 @@ from .diagnostics import (
     write_stats_csv,
     write_velocity_field_csv,
 )
-from .ensemble import ICKind, InitialCondition, save_snapshot
+from .ensemble import BimodalVelocity1D, InitialCondition, save_snapshot
 from .errors import ConfigurationError, IntegrationBlowupError, SchemeFailureError
 from .gpc import PolynomialFamily, build_basis, tensor_basis
 from .models import CuckerSmaleParams, MorseSwarmParams, UncertainScalar
@@ -167,6 +166,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(candidate) as fh:
             parser.read_file(fh, source=str(candidate))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {candidate}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {candidate}: {exc}") from exc
 
@@ -192,8 +193,7 @@ def load_config(path) -> ExperimentConfig:
 
     kind = get("experiment", "kind", cast=_one_of(*EXPERIMENTS))
     default_ic, model_defaults = EXPERIMENTS[kind]
-    ic_kind = get("initial", "kind", default_ic, lambda s: ICKind(s).value)
-    ic_signature = inspect.signature(getattr(InitialCondition, ic_kind))
+    ic_kind = get("initial", "kind", default_ic, _one_of(*InitialCondition.kinds))
     cfg = ExperimentConfig(
         kind=kind,
         n_particles=get("experiment", "N", cast=_as_int),
@@ -206,8 +206,8 @@ def load_config(path) -> ExperimentConfig:
         family=get("experiment", "family", "legendre", lambda s: PolynomialFamily(s.lower()).value),
         model_params=given("model", {key: _cast_like(value) for key, value in model_defaults.items()}),
         ic_kind=ic_kind,
-        ic_params=given("initial", {name: _cast_like(param.default)
-                                    for name, param in ic_signature.parameters.items()}),
+        ic_params=given("initial", {fld.name: _cast_like(fld.default)
+                                    for fld in dataclasses.fields(InitialCondition.kinds[ic_kind])}),
         out_dir=get("output", "dir", "out"),
         stride=get("output", "stride", 1, _as_int),
         grid_min=get("output", "grid_min", -2.0, _as_float),
@@ -270,8 +270,8 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[InitialCondition, SolverCon
         # Alignment rides the first random input, Morse strengths the second.
         basis = tensor_basis(basis, build_basis(family, cfg.order, cfg.quad_points))
     model = ModelSpec(basis=basis, alignment=alignment, morse=morse)
-    ic = getattr(InitialCondition, cfg.ic_kind)(**cfg.ic_params)
-    expected_dim = getattr(InitialCondition, EXPERIMENTS[cfg.kind][0])().dim
+    ic = InitialCondition.kinds[cfg.ic_kind](**cfg.ic_params)
+    expected_dim = InitialCondition.kinds[EXPERIMENTS[cfg.kind][0]].dim
     if ic.dim != expected_dim:
         raise ConfigurationError(
             f"{cfg.source}: experiment {cfg.kind!r} is {expected_dim}D but initial condition is {ic.dim}D"
@@ -332,6 +332,17 @@ def _configured(config_path, out: str | None = None, seed: int | None = None) ->
     return cfg
 
 
+def _make_out_dir(cfg: ExperimentConfig) -> Path:
+    """Create the output directory of ``cfg`` and return it; a path that
+    cannot be made a directory is a configuration error."""
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def _exit_code(command):
     """Report a command's failures on stderr with their exit codes: 2 for a
     configuration error, 3 for a numerical failure.  Commands validate
@@ -369,8 +380,7 @@ def cmd_run(config_path, out: str | None = None, seed: int | None = None,
     ic, solver_cfg = build_experiment(cfg)
     basis = solver_cfg.model.basis
     threads = _run_threads(threads)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg)
     records, final = run(ic, solver_cfg, observers=[lambda e: compute_stats(e, basis)],
                          observer_stride=cfg.stride, threads=threads)
     write_stats_csv([stats for _, (stats,) in records], out_dir / "stats.csv")
@@ -404,9 +414,9 @@ def _oracle_problem(cfg: ExperimentConfig):
     finite-difference reference solve."""
     grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
     basis = build_basis(PolynomialFamily(cfg.family), cfg.order, cfg.quad_points)
-    ic = getattr(InitialCondition, cfg.ic_kind)(**cfg.ic_params).params
+    ic = InitialCondition.kinds[cfg.ic_kind](**cfg.ic_params)
     # the velocity law of either 1D initial condition: two bumps at +-mu or +-vbar
-    f0 = bimodal_density(grid, ic["sigma_v_sq"], ic["vbar"] if "vbar" in ic else ic["mu"])
+    f0 = bimodal_density(grid, ic.sigma_v_sq, ic.mu if isinstance(ic, BimodalVelocity1D) else ic.vbar)
     return grid, basis, f0, _model(cfg)["k"]
 
 
@@ -445,8 +455,7 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     if ref_cfg is None:
         _oracle_problem(cfg)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg)
     reference = _oracle_temperature(cfg) if ref_cfg is None else _final_temperature(ref_cfg)
     threads = threads or 1   # sweep points in parallel, each run on one thread
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -467,8 +476,7 @@ def cmd_oracle(config_path, out: str | None = None) -> int:
     if cfg.kind != "homogeneous":
         raise ConfigurationError("the oracle command only applies to the homogeneous experiment")
     grid, basis, f0, strength = _oracle_problem(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg)
     history = []
     stride = max(1, int(round(cfg.dt / (grid.dv ** 2)))) * cfg.stride
     sol = sg_homogeneous_solve(

@@ -11,9 +11,10 @@ makes runs reproducible across platforms for a fixed numpy major line.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,95 +57,113 @@ class GpcEnsemble:
         return bool(np.isfinite(self.x_hat).all() and np.isfinite(self.v_hat).all())
 
 
-class ICKind(enum.Enum):
-    BIMODAL_VELOCITY_1D = "bimodal_velocity_1d"
-    BIVARIATE_BIMODAL_1D = "bivariate_bimodal_1d"
-    ANNULUS_ROTATING_2D = "annulus_rotating_2d"
+class InitialCondition:
+    """An initial law in (x, v), deterministic in theta.
+
+    Each kind is a frozen dataclass subclass whose fields are its
+    ``[initial]`` keys, with their defaults.  It checks them when it is
+    built, sets the class-level dimension ``dim``, and draws a sample in
+    ``sample(rng, x, v)``, which fills the (N, dim) positions x and
+    velocities v.  ``InitialCondition.<kind>`` is the class of a kind, and
+    ``InitialCondition.kinds`` maps each kind's name to its class.
+    """
+
+    kinds: ClassVar[dict] = {}
+
+    def __init_subclass__(cls, kind: str):
+        InitialCondition.kinds[kind] = cls
+        setattr(InitialCondition, kind, cls)
+
+
+def _check(name: str, value: float, low: float = -math.inf) -> None:
+    """Raise ConfigurationError unless low < value < inf (NaN fails)."""
+    if not low < value < math.inf:
+        raise ConfigurationError(f"need {low} < {name} < inf, got {value}")
+
+
+def _bimodal(rng: np.random.Generator, n: int, centre: float, sigma_sq: float) -> np.ndarray:
+    """n draws from the symmetric two-bump law +-centre + N(0, sigma_sq)."""
+    signs = rng.integers(0, 2, size=n) * 2 - 1
+    return signs * centre + rng.normal(0.0, np.sqrt(sigma_sq), n)
 
 
 @dataclass(frozen=True)
-class InitialCondition:
-    """Named initial phase-space density plus its parameters."""
+class BimodalVelocity1D(InitialCondition, kind="bimodal_velocity_1d"):
+    """Symmetric two-bump velocity profile, optional Gaussian in position.
 
-    kind: ICKind
-    params: dict = field(default_factory=dict)
+    Without ``sigma_x_sq`` all particles start at the origin (the
+    spatially homogeneous setting, where positions are irrelevant).
+    """
+
+    sigma_v_sq: float = 0.1
+    mu: float = 0.25
+    sigma_x_sq: float | None = None
+    dim: ClassVar[int] = 1
 
     def __post_init__(self):
-        p = self.params
-        if self.kind is ICKind.BIMODAL_VELOCITY_1D:
-            if p["sigma_v_sq"] <= 0:
-                raise ConfigurationError("velocity variance must be positive")
-            if p.get("sigma_x_sq") is not None and p["sigma_x_sq"] <= 0:
-                raise ConfigurationError("position variance must be positive")
-        elif self.kind is ICKind.BIVARIATE_BIMODAL_1D:
-            if p["sigma_v_sq"] <= 0 or p["sigma_x_sq"] <= 0:
-                raise ConfigurationError("variances must be positive")
-        elif self.kind is ICKind.ANNULUS_ROTATING_2D:
-            if not 0 < p["r_inner"] < p["r_outer"]:
-                raise ConfigurationError("need 0 < r_inner < r_outer")
+        _check("sigma_v_sq", self.sigma_v_sq, 0.0)
+        _check("mu", self.mu)
+        if self.sigma_x_sq is not None:
+            _check("sigma_x_sq", self.sigma_x_sq, 0.0)
 
-    @classmethod
-    def bimodal_velocity_1d(cls, sigma_v_sq: float = 0.1, mu: float = 0.25,
-                            sigma_x_sq: float | None = None) -> "InitialCondition":
-        """Symmetric two-bump velocity profile, optional Gaussian in position.
+    def sample(self, rng, x, v):
+        n = len(x)
+        v[:, 0] = _bimodal(rng, n, self.mu, self.sigma_v_sq)
+        if self.sigma_x_sq is not None:
+            x[:, 0] = rng.normal(0.0, np.sqrt(self.sigma_x_sq), n)
 
-        Without ``sigma_x_sq`` all particles start at the origin (the
-        spatially homogeneous setting, where positions are irrelevant).
-        """
-        return cls(ICKind.BIMODAL_VELOCITY_1D,
-                   {"sigma_v_sq": sigma_v_sq, "mu": mu, "sigma_x_sq": sigma_x_sq})
 
-    @classmethod
-    def bivariate_bimodal_1d(cls, vbar: float = 1.0, sigma_x_sq: float = 0.5,
-                             sigma_v_sq: float = 0.2) -> "InitialCondition":
-        """Gaussian in position times a symmetric two-bump (+-vbar) velocity profile."""
-        return cls(ICKind.BIVARIATE_BIMODAL_1D,
-                   {"vbar": vbar, "sigma_x_sq": sigma_x_sq, "sigma_v_sq": sigma_v_sq})
+@dataclass(frozen=True)
+class BivariateBimodal1D(InitialCondition, kind="bivariate_bimodal_1d"):
+    """Gaussian in position times a symmetric two-bump (+-vbar) velocity profile."""
 
-    @classmethod
-    def annulus_rotating_2d(cls, r_inner: float = 0.5, r_outer: float = 1.0,
-                            counterclockwise: bool = True) -> "InitialCondition":
-        """Uniform on the annulus r_inner <= |x| <= r_outer, unit tangential speed."""
-        return cls(ICKind.ANNULUS_ROTATING_2D,
-                   {"r_inner": r_inner, "r_outer": r_outer, "counterclockwise": counterclockwise})
+    vbar: float = 1.0
+    sigma_x_sq: float = 0.5
+    sigma_v_sq: float = 0.2
+    dim: ClassVar[int] = 1
 
-    @property
-    def dim(self) -> int:
-        return 2 if self.kind is ICKind.ANNULUS_ROTATING_2D else 1
+    def __post_init__(self):
+        _check("vbar", self.vbar)
+        _check("sigma_x_sq", self.sigma_x_sq, 0.0)
+        _check("sigma_v_sq", self.sigma_v_sq, 0.0)
+
+    def sample(self, rng, x, v):
+        n = len(x)
+        x[:, 0] = rng.normal(0.0, np.sqrt(self.sigma_x_sq), n)
+        v[:, 0] = _bimodal(rng, n, self.vbar, self.sigma_v_sq)
+
+
+@dataclass(frozen=True)
+class AnnulusRotating2D(InitialCondition, kind="annulus_rotating_2d"):
+    """Uniform on the annulus r_inner <= |x| <= r_outer, unit tangential speed."""
+
+    r_inner: float = 0.5
+    r_outer: float = 1.0
+    counterclockwise: bool = True
+    dim: ClassVar[int] = 2
+
+    def __post_init__(self):
+        _check("r_inner", self.r_inner, 0.0)
+        _check("r_outer", self.r_outer, self.r_inner)
+
+    def sample(self, rng, x, v):
+        n = len(x)
+        # Area-uniform radius, uniform angle.
+        r = np.sqrt(rng.uniform(self.r_inner ** 2, self.r_outer ** 2, n))
+        phi = rng.uniform(0.0, 2.0 * np.pi, n)
+        x[:, 0] = r * np.cos(phi)
+        x[:, 1] = r * np.sin(phi)
+        tangent = np.stack([-x[:, 1], x[:, 0]], axis=1) / r[:, None]
+        v[:] = tangent if self.counterclockwise else -tangent
 
 
 def sample_initial(ic: InitialCondition, n_particles: int, seed: int, modes: int) -> GpcEnsemble:
     """Draw mode-0 samples from the initial density; modes >= 1 are zero."""
     if n_particles < 1:
         raise ConfigurationError(f"need at least one particle, got {n_particles}")
-    rng = np.random.default_rng(seed)
-    d = ic.dim
-    x = np.zeros((n_particles, d))
-    v = np.zeros((n_particles, d))
-    p = ic.params
-    if ic.kind is ICKind.BIMODAL_VELOCITY_1D:
-        signs = rng.integers(0, 2, size=n_particles) * 2 - 1
-        v[:, 0] = signs * p["mu"] + rng.normal(0.0, np.sqrt(p["sigma_v_sq"]), n_particles)
-        if p.get("sigma_x_sq") is not None:
-            x[:, 0] = rng.normal(0.0, np.sqrt(p["sigma_x_sq"]), n_particles)
-    elif ic.kind is ICKind.BIVARIATE_BIMODAL_1D:
-        x[:, 0] = rng.normal(0.0, np.sqrt(p["sigma_x_sq"]), n_particles)
-        signs = rng.integers(0, 2, size=n_particles) * 2 - 1
-        v[:, 0] = signs * p["vbar"] + rng.normal(0.0, np.sqrt(p["sigma_v_sq"]), n_particles)
-    elif ic.kind is ICKind.ANNULUS_ROTATING_2D:
-        # Area-uniform radius, uniform angle.
-        r = np.sqrt(rng.uniform(p["r_inner"] ** 2, p["r_outer"] ** 2, n_particles))
-        phi = rng.uniform(0.0, 2.0 * np.pi, n_particles)
-        x[:, 0] = r * np.cos(phi)
-        x[:, 1] = r * np.sin(phi)
-        tangent = np.stack([-x[:, 1], x[:, 0]], axis=1) / r[:, None]
-        v[:] = tangent if p["counterclockwise"] else -tangent
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigurationError(f"unknown initial condition {ic.kind}")
-    x_hat = np.zeros((n_particles, d, modes))
-    v_hat = np.zeros((n_particles, d, modes))
-    x_hat[:, :, 0] = x
-    v_hat[:, :, 0] = v
+    x_hat = np.zeros((n_particles, ic.dim, modes))
+    v_hat = np.zeros((n_particles, ic.dim, modes))
+    ic.sample(np.random.default_rng(seed), x_hat[:, :, 0], v_hat[:, :, 0])
     return GpcEnsemble(x_hat, v_hat, time=0.0)
 
 

@@ -136,8 +136,8 @@ def sg_homogeneous_solve(
         for obs in observers:
             obs(SgDensity(grid=grid, coeffs=sol.coeffs.copy(), time=sol.time, u=sol.u))
 
-    sol = march(SgDensity(grid=grid, coeffs=coeffs, time=0.0, u=u), advance, t_end, dt, observe,
-                observer_stride)
+    sol = march(lambda: SgDensity(grid=grid, coeffs=coeffs, time=0.0, u=u), advance, t_end, dt,
+                observe, observer_stride)
     check(sol)
     return sol
 

@@ -650,10 +650,8 @@ def run(
         records.append((e.time, [obs(e) for obs in observers]))
 
     try:
-        # no name here holds the initial ensemble, which would keep it
-        # alive through the run; Python 3.10 still does until march returns
-        ens = march(sample_initial(ic, cfg.n_particles, cfg.seed, cfg.model.basis.n_modes), advance,
-                    cfg.t_end, cfg.dt, observe, observer_stride)
+        ens = march(lambda: sample_initial(ic, cfg.n_particles, cfg.seed, cfg.model.basis.n_modes),
+                    advance, cfg.t_end, cfg.dt, observe, observer_stride)
     finally:
         workers.close()
     return records, ens

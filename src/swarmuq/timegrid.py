@@ -31,17 +31,22 @@ def time_steps(t_end: float, dt: float) -> list[float]:
     return dts
 
 
-def march(state, advance, t_end: float, dt: float, observe, stride: int):
-    """Step ``state`` along ``time_steps(t_end, dt)`` and return the last.
+def march(initial, advance, t_end: float, dt: float, observe, stride: int):
+    """Step the state ``initial()`` along ``time_steps(t_end, dt)`` and
+    return the last state.
 
     ``advance(state, k, h)`` returns the state one step of length h
     later, k counting the steps from 0.  ``observe(state)`` is called on
     the initial state, after every ``stride`` steps and after the last
-    step, once even where that is also a stride multiple.
+    step, once even where that is also a stride multiple.  The initial
+    state is made here, not passed in, so that it is freed after the
+    first step: CPython 3.10 keeps a call's arguments alive on the
+    caller's stack until the call returns.
     """
     if stride < 1:
         raise ConfigurationError(f"observer stride must be >= 1, got {stride}")
     dts = time_steps(t_end, dt)
+    state = initial()
     observe(state)
     for k, h in enumerate(dts):
         state = advance(state, k, h)

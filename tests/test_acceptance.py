@@ -7,6 +7,7 @@ slow"``.
 """
 import dataclasses
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -163,12 +164,14 @@ def test_c05_pde_oracle_cross_validation():
     t_oracle = _oracle_temperature(cfg)  # reference on the preset's 101-point velocity grid
     seeds = range(10)
     mean_abs = {}
-    for n in (1000, 10000):
-        errs = []
-        for seed in seeds:
-            point = dataclasses.replace(cfg, n_particles=n, subsample_size=50, seed=seed)
-            errs.append(abs(_final_temperature(point) - t_oracle))
-        mean_abs[n] = float(np.mean(errs))
+    # the runs are independent: as converge --threads runs its points,
+    # they share every usable core, each on one thread
+    with ThreadPoolExecutor(max_workers=_run_threads(None)) as pool:
+        for n in (1000, 10000):
+            points = [dataclasses.replace(cfg, n_particles=n, subsample_size=50, seed=seed)
+                      for seed in seeds]
+            errs = [abs(temp - t_oracle) for temp in pool.map(_final_temperature, points)]
+            mean_abs[n] = float(np.mean(errs))
     ok = mean_abs[10000] < mean_abs[1000]
     _report(5, "reference-solver cross-validation", ok,
             f"mean |err| N=1e3: {mean_abs[1000]:.2e} > N=1e4: {mean_abs[10000]:.2e}")

@@ -273,6 +273,36 @@ def test_missing_config_file_exits_2(capsys):
     assert "cs_1d_desk" in err   # the message lists the shipped presets
 
 
+def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, monkeypatch):
+    # a directory, or a file that is not UTF-8, in place of a config
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(MINI_CONFIG.format(out=tmp_path / "never").encode() + b"# caf\xe9\n")
+    for path in (tmp_path, not_utf8):
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot read {path}" in err, err
+    assert not (tmp_path / "never").exists()
+    # an output path that is an existing file, or lies under one, fails
+    # before any compute
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    cfg_path = _write(tmp_path, MINI_CONFIG, out=str(blocker))
+    homogeneous = _write(tmp_path, MINI_HOMOGENEOUS, name="homogeneous.cfg", out=str(blocker))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the output directory was made")
+
+    monkeypatch.setattr("swarmuq.cli.run", no_compute)
+    monkeypatch.setattr("swarmuq.cli.sg_homogeneous_solve", no_compute)
+    for out in (blocker, blocker / "x"):
+        for args in (["run", str(cfg_path)], ["converge", str(cfg_path), "--sweep", "S=5"],
+                     ["oracle", str(homogeneous)]):
+            assert main(args + ["--out", str(out)]) == 2, args
+            err = capsys.readouterr().err
+            assert f"configuration error: cannot create output directory {out}" in err, err
+    assert blocker.read_text() == "kept\n"
+
+
 def test_run_with_one_particle(tmp_path):
     out = tmp_path / "single"
     text = MINI_CONFIG.replace("N = 200", "N = 1").replace("S = 5", "S = 1")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -86,6 +88,44 @@ def test_invalid_parameters_raise():
         InitialCondition.annulus_rotating_2d(r_inner=1.0, r_outer=0.5)
     with pytest.raises(ConfigurationError):
         sample_initial(InitialCondition.bimodal_velocity_1d(), 0, 1, 1)
+    # a NaN or an infinity fails where the condition is built, not in the
+    # sample or the first step
+    nan, inf = float("nan"), float("inf")
+    for kind, params in (("bimodal_velocity_1d", {"sigma_v_sq": nan}),
+                         ("bimodal_velocity_1d", {"sigma_v_sq": inf}),
+                         ("bimodal_velocity_1d", {"mu": inf}),
+                         ("bimodal_velocity_1d", {"mu": -inf}),
+                         ("bimodal_velocity_1d", {"mu": nan}),
+                         ("bimodal_velocity_1d", {"sigma_x_sq": nan}),
+                         ("bimodal_velocity_1d", {"sigma_x_sq": inf}),
+                         ("bivariate_bimodal_1d", {"sigma_x_sq": nan}),
+                         ("bivariate_bimodal_1d", {"sigma_x_sq": inf}),
+                         ("bivariate_bimodal_1d", {"sigma_v_sq": nan}),
+                         ("bivariate_bimodal_1d", {"vbar": nan}),
+                         ("bivariate_bimodal_1d", {"vbar": -inf}),
+                         ("annulus_rotating_2d", {"r_outer": inf})):
+        with pytest.raises(ConfigurationError):
+            getattr(InitialCondition, kind)(**params)
+
+
+def test_initial_streams_are_unchanged():
+    # sha256 of the x_hat and v_hat bytes of sample_initial(ic, 1000, 7, 3),
+    # recorded before the initial conditions became one class each
+    digests = (
+        (InitialCondition.bimodal_velocity_1d(),
+         "98fee7035c97a3c2d69195ba316aca0d4cd3a3a0f8cef2b0b49f7e9b5c54e79b"),
+        (InitialCondition.bimodal_velocity_1d(sigma_x_sq=0.3),
+         "f332456152c783d7f64c87630fc2ccb82d05a8213abf5b3b42189216d3f0c267"),
+        (InitialCondition.bivariate_bimodal_1d(),
+         "79488922448efd65fdc13cb8736b88b4cbffaf3858dd34b6946e7cb101ca7470"),
+        (InitialCondition.annulus_rotating_2d(),
+         "81b7ebd5ed462fe9167965c2d3970e70e8c0750afb846b3a3feb6ce8e6979769"),
+        (InitialCondition.annulus_rotating_2d(counterclockwise=False),
+         "fe38a957f2214334c0e79edbd827342f1831c35cd2f6fc1161153dca81e9fea4"),
+    )
+    for ic, digest in digests:
+        ens = sample_initial(ic, 1000, 7, 3)
+        assert hashlib.sha256(ens.x_hat.tobytes() + ens.v_hat.tobytes()).hexdigest() == digest, ic
 
 
 def test_evaluate_at_theta_deterministic_state():

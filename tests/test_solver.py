@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,30 @@ def test_run_zero_t_end_observes_initial_state():
                          observers=[lambda e: e.time])
     assert len(records) == 1
     assert final.time == 0.0
+
+
+def test_initial_ensemble_is_freed_after_the_first_step(monkeypatch):
+    # run keeps no reference to the sampled initial ensemble once the
+    # first step has made the next one, on every supported Python: 3.10
+    # keeps a call's arguments alive until the call returns, so run must
+    # not pass the ensemble to the time loop as one
+    initial = []
+    alive_at_step = []
+
+    def sample(*args):
+        ens = sample_initial(*args)
+        initial.append(weakref.ref(ens))
+        return ens
+
+    def traced_step(ens, *args, **kwargs):
+        alive_at_step.append(initial[0]() is not None)
+        return step(ens, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "sample_initial", sample)
+    monkeypatch.setattr(solver, "step", traced_step)
+    cfg = SolverConfig(n_particles=20, dt=0.01, t_end=0.03, subsample_size=5, seed=3, model=_cs_spec())
+    run(InitialCondition.bivariate_bimodal_1d(), cfg, observers=[lambda e: e.time])
+    assert alive_at_step == [True, False, False]
 
 
 def test_homogeneous_variance_decay_rate():
