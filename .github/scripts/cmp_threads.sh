@@ -1,13 +1,15 @@
 #!/bin/sh
-# Runs 10 steps each of combined_2d_desk (8 row chunks per stage on one
-# thread, 16 shared by two workers) and of mill_2d_desk, whose Morse-only
-# branch has 7 row chunks per stage on two workers, 5 steps of the
-# homogeneous preset with S = 100, whose subsample mean two workers share
-# as two CSR row blocks and whose subsample table they draw as 8 row
-# blocks of the sorted redraw, and 2 steps of cs_1d (N = 10^5, S = 5),
-# whose table is 4 collision-light row blocks, once on 1 thread and once
-# on 2, and fails unless stats.csv and ensemble_final.csv match byte for
-# byte.
+# Runs 10 steps each of combined_2d_desk (8 row chunks of 125 per stage
+# on one thread, and 8 shared by two workers, 4 each) and of
+# mill_2d_desk, whose Morse-only branch has 4 row chunks of 500 per stage
+# on one thread and on two workers, 5 steps of the homogeneous preset
+# with S = 100, whose subsample mean two workers share as two CSR row
+# blocks and whose subsample table they draw as 8 row blocks of the
+# sorted redraw, and 2 steps of cs_1d (N = 10^5, S = 5), whose table is
+# 4 collision-light row blocks, once on 1 thread and once on 2, and
+# fails unless both runs write the same CSV artifacts (stats.csv,
+# ensemble_final.csv, every density_*.csv and, in 2D,
+# velocity_field.csv) and each matches byte for byte.
 #
 # Usage, from the repository root: sh .github/scripts/cmp_threads.sh [dir]
 # Outputs go to dir, else $RUNNER_TEMP, else a new temporary directory.
@@ -26,8 +28,8 @@ for p in combined_2d_desk:0.1 mill_2d_desk:0.2 homogeneous:0.05:100 cs_1d:0.02; 
   for t in 1 2; do
     PYTHONPATH=src python -m swarmuq.cli run "$out/${name}_short.cfg" --threads "$t" --out "$out/${name}_threads_$t"
   done
-  for f in stats.csv ensemble_final.csv; do
-    cmp "$out/${name}_threads_1/$f" "$out/${name}_threads_2/$f"
+  for f in "$out/${name}_threads_1"/*.csv "$out/${name}_threads_2"/*.csv; do
+    cmp "$out/${name}_threads_1/${f##*/}" "$out/${name}_threads_2/${f##*/}"
   done
 done
 echo "1- and 2-thread outputs are byte-identical in $out"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import GpcEnsemble, evaluate_at_nodes
+from .ensemble import GpcEnsemble
 from .errors import ConfigurationError, DimensionMismatchError
 
 _DENSITY_KINDS = ("position", "velocity", "phase-space")
@@ -70,6 +70,38 @@ def reconstruct_expected_density(ens: GpcEnsemble, axes, kind: str = "position")
                        total_mass=float(values.sum() * cell_volume), spill=spill)
 
 
+def _squared_deviations(coefs: np.ndarray, basis) -> np.ndarray:
+    """(N, d, Q) squares of the node values of the (N, d, m) ``coefs``
+    (an ensemble's x_hat or v_hat) minus their ensemble mean at each node
+    and component, centred and squared in place: one (N, d, Q) array in
+    all."""
+    if coefs.shape[2] != basis.n_modes:
+        raise DimensionMismatchError(f"ensemble has {coefs.shape[2]} modes but basis has {basis.n_modes}")
+    nodes = coefs @ basis.basis_table
+    nodes -= nodes.mean(axis=0, keepdims=True)
+    return np.square(nodes, out=nodes)
+
+
+def _spread(squares: np.ndarray) -> np.ndarray:
+    """N sum_i |u_i - mean|^2 per node, from ``_squared_deviations``."""
+    return squares.shape[0] * squares.sum(axis=(0, 1))
+
+
+def _temperature(squares: np.ndarray, basis) -> float:
+    """Quadrature average of the per-node velocity variance, from the
+    ``_squared_deviations`` of v, which it overwrites: the components are
+    summed into the first in place, in the order ``sum(axis=1)`` adds.
+    numpy copies an input that may overlap the output, so the sums run
+    in row blocks of at most N*d values."""
+    n, d, q = squares.shape
+    block = max(1, n * d // q)
+    for lo in range(0, n, block):
+        rows = squares[lo:lo + block]
+        for k in range(1, d):
+            np.add(rows[:, 0], rows[:, k], out=rows[:, 0])
+    return float(basis.quad_weights @ squares[:, 0].mean(axis=0))
+
+
 def expected_temperature(ens: GpcEnsemble, basis) -> float:
     """Random-input average of the ensemble velocity variance.
 
@@ -77,10 +109,7 @@ def expected_temperature(ens: GpcEnsemble, basis) -> float:
     around their ensemble mean is computed (summed over components in
     more than one dimension), then averaged with the quadrature weights.
     """
-    _, v_nodes = evaluate_at_nodes(ens, basis)
-    mean = v_nodes.mean(axis=0, keepdims=True)
-    t_nodes = ((v_nodes - mean) ** 2).sum(axis=1).mean(axis=0)
-    return float(basis.quad_weights @ t_nodes)
+    return _temperature(_squared_deviations(ens.v_hat, basis), basis)
 
 
 def flocking_spreads(ens: GpcEnsemble, basis) -> tuple[np.ndarray, np.ndarray]:
@@ -89,14 +118,8 @@ def flocking_spreads(ens: GpcEnsemble, basis) -> tuple[np.ndarray, np.ndarray]:
     Gamma = 0.5 sum_{i != j} |x_i - x_j|^2, evaluated through the O(N)
     identity 0.5 sum_{i != j} |u_i - u_j|^2 = N sum_i |u_i - mean|^2.
     """
-    x_nodes, v_nodes = evaluate_at_nodes(ens, basis)
-    n = ens.n_particles
-
-    def spread(values):
-        mean = values.mean(axis=0, keepdims=True)
-        return n * ((values - mean) ** 2).sum(axis=(0, 1))
-
-    return spread(x_nodes), spread(v_nodes)
+    gamma = _spread(_squared_deviations(ens.x_hat, basis))
+    return gamma, _spread(_squared_deviations(ens.v_hat, basis))
 
 
 def convergence_error(quantity: float, reference: float, relative: bool = False) -> float:
@@ -130,9 +153,15 @@ def compute_stats(ens: GpcEnsemble, basis) -> StatRecord:
     weights; mean velocity and speed statistics use the expected (mode-0)
     velocities.  The counterclockwise fraction counts particles whose
     planar cross product x ^ v is positive and is NaN in one dimension.
+    The spreads and the temperature are those of ``flocking_spreads`` and
+    ``expected_temperature``, bit for bit, from one reconstruction of x
+    and one of v, freed in turn.
     """
-    gamma_nodes, lambda_nodes = flocking_spreads(ens, basis)
     w = basis.quad_weights
+    position_spread = float(w @ _spread(_squared_deviations(ens.x_hat, basis)))
+    v_squares = _squared_deviations(ens.v_hat, basis)
+    velocity_spread = float(w @ _spread(v_squares))
+    temperature = _temperature(v_squares, basis)
     x0 = ens.x_hat[:, :, 0]
     v0 = ens.v_hat[:, :, 0]
     speeds = np.linalg.norm(v0, axis=1)
@@ -143,10 +172,10 @@ def compute_stats(ens: GpcEnsemble, basis) -> StatRecord:
         ccw = float("nan")
     return StatRecord(
         time=ens.time,
-        expected_temperature=expected_temperature(ens, basis),
+        expected_temperature=temperature,
         mean_velocity=tuple(v0.mean(axis=0)),
-        velocity_spread=float(w @ lambda_nodes),
-        position_spread=float(w @ gamma_nodes),
+        velocity_spread=velocity_spread,
+        position_spread=position_spread,
         speed_mean=float(speeds.mean()),
         speed_std=float(speeds.std()),
         ccw_frac=ccw,

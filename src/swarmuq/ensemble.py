@@ -12,6 +12,7 @@ makes runs reproducible across platforms for a fixed numpy major line.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -76,7 +77,10 @@ class InitialCondition:
 
 
 def _check(name: str, value: float, low: float = -math.inf) -> None:
-    """Raise ConfigurationError unless low < value < inf (NaN fails)."""
+    """Raise ConfigurationError unless value is a real number, not a bool,
+    with low < value < inf (NaN fails)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     if not low < value < math.inf:
         raise ConfigurationError(f"need {low} < {name} < inf, got {value}")
 
@@ -145,6 +149,8 @@ class AnnulusRotating2D(InitialCondition, kind="annulus_rotating_2d"):
     def __post_init__(self):
         _check("r_inner", self.r_inner, 0.0)
         _check("r_outer", self.r_outer, self.r_inner)
+        if not isinstance(self.counterclockwise, bool):
+            raise ConfigurationError(f"counterclockwise must be a bool, got {self.counterclockwise!r}")
 
     def sample(self, rng, x, v):
         n = len(x)

@@ -49,11 +49,16 @@ the dimensions makes, and a row's rate does not depend on the chunk
 that holds it, so results are bit-identical for every W.  The mean and
 the products stay on the calling thread below ``_SHARED_PRODUCT_MIN``
 multiply-adds.
-Each worker has its own chunk buffers and a W-th of ``_CHUNK_BUDGET``,
-so peak memory keeps its size whatever W is.  While the pool runs,
-numpy's bundled OpenBLAS is held at one thread: after a threaded product
-its idle threads spin-wait, and on two cores a stage then ran at 0.8x
-the serial speed.
+Each worker has its own chunk buffers, whose partner buffer holds at
+most ``_CHUNK_BUDGET`` elements.  A chunk has the rows of one of the
+fewest equal pieces of a worker's share, ceil(N/W) rows, that fit that
+buffer (see ``_Workspace``), so on the shipped presets every worker
+takes as many chunks as the others for W = 1, 2 and 4.  The buffers of
+W workers take up to W times the memory of one worker's, and those of
+one worker are never larger than the largest chunk that fits.  While
+the pool runs, numpy's bundled OpenBLAS is held at one thread: after a
+threaded product its idle threads spin-wait, and on two cores a stage
+then ran at 0.8x the serial speed.
 """
 from __future__ import annotations
 
@@ -75,11 +80,12 @@ from .models import (
 )
 from .timegrid import check_grid, euler, march, rk4
 
-# Elements of the (d, R, P, Q) partner buffers of all workers together:
-# 1 MiB of float64, so that one worker's buffer and the (R, P, Q) arrays
-# of its row chunk fit together in one core's 2 MiB share of L2.  Each of
-# W workers gets 1/W of it.  A row larger than a worker's share is one
-# chunk.
+# Elements of one worker's (d, R, P, Q) partner buffer: 1 MiB of float64,
+# so that the buffer and the (R, P, Q) arrays of its row chunk fit
+# together in one core's 2 MiB share of L2.  Every worker has a whole
+# budget: with a W-th of it, 2 workers cut combined_2d_desk into chunks of
+# 65 rows and ran a stage only 1.2-1.4x faster than one, their numpy calls
+# too short to overlap.  A row larger than the budget is one chunk.
 _CHUNK_BUDGET = 1 << 17
 
 # Multiply-adds of one (N, m) @ (m, Q) product of the reconstruction or
@@ -297,11 +303,19 @@ class _Workspace:
     """Every array the node path writes: the (d, N, Q) node values and
     node rate, shared by all workers, each of which writes only its own
     rows of the rate, and one set of row-chunk buffers per worker that
-    has a chunk.  Nothing is allocated per stage but the modal rate."""
+    has a chunk.  Nothing is allocated per stage but the modal rate.
+
+    Chunks have ``rows`` rows, the last one possibly fewer: a worker's
+    share of ceil(N/W) rows is cut into the fewest equal pieces whose
+    partner buffer fits ``_CHUNK_BUDGET``, so the N rows make at most W
+    times that many chunks.  At W = 1 there are as many chunks as with
+    the largest chunk that fits, and none is larger."""
 
     def __init__(self, n: int, partners: int, d: int, q: int, workers: int):
         self.shape = (n, partners, d)
-        self.rows = min(n, max(1, _CHUNK_BUDGET // workers // max(partners * d * q, 1)))
+        share = -(-n // workers)
+        fit = max(1, _CHUNK_BUDGET // max(partners * d * q, 1))
+        self.rows = -(-share // -(-share // fit))
         self.x_nodes = np.empty((d, n, q))              # x_hat @ table, per dimension
         self.v_nodes = np.empty((d, n, q))
         self.rate = np.empty((d, n, q))                 # projected once per stage

@@ -130,6 +130,25 @@ def pairwise_spread(values):
     return 0.5 * total
 
 
+def two_pass_stats(ens, basis):
+    """Expected temperature and the per-node spreads Gamma and Lambda,
+    each from its own reconstruction at the nodes, with every deviation
+    and square a new array: v is reconstructed twice.  The package's
+    one-pass statistics must equal these bit for bit."""
+    table = basis.basis_table
+    n = ens.n_particles
+
+    def spread(values):
+        mean = values.mean(axis=0, keepdims=True)
+        return n * ((values - mean) ** 2).sum(axis=(0, 1))
+
+    gamma, lam = spread(ens.x_hat @ table), spread(ens.v_hat @ table)
+    v_nodes = ens.v_hat @ table
+    mean = v_nodes.mean(axis=0, keepdims=True)
+    t_nodes = ((v_nodes - mean) ** 2).sum(axis=1).mean(axis=0)
+    return float(basis.quad_weights @ t_nodes), gamma, lam
+
+
 def uniform_expectation(fun, n_nodes=200):
     """High-order Gauss integral of fun(theta) against the uniform law on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)

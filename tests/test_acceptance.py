@@ -279,8 +279,9 @@ def test_c10_tensor_uncertainty_consistency():
 
 def test_c11_reproducibility(tmp_path):
     # cs_1d_desk's 1000 rows are one chunk; 5 steps of mill_2d_desk take
-    # the node path on 4 chunks of 655 rows on one thread, and on 7 and 10
-    # chunks shared by 2 and 3 workers (at most one per usable core)
+    # the node path on 4 chunks of 500 rows on one thread and on 2
+    # workers, and on 6 chunks of up to 334 rows on 3 (at most one worker
+    # per usable core)
     mill = tmp_path / "mill_short.cfg"
     mill.write_text(preset_path("mill_2d_desk").read_text().replace("t_end = 100.0", "t_end = 0.1"))
     runs = {}

@@ -324,7 +324,7 @@ def test_homogeneous_requires_zero_gamma(tmp_path):
 def test_run_is_reproducible_across_thread_counts(tmp_path):
     # cs_1d's stages are a single row chunk, which runs on the calling
     # thread whatever the count; the small mill has at least 2 row chunks
-    # per stage on 2 workers (3 at the current budget), so its second run
+    # per stage on 2 workers (2 at the current budget), so its second run
     # shares them out on the pool; the subsampled homogeneous run's mean
     # has enough multiply-adds to be split into one row block per worker
     mill = (MINI_MILL.replace("N = 100\nS = 5\nM = 2\n", "N = 400\nS = 20\nM = 4\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,9 @@ from swarmuq.diagnostics import (
 )
 from swarmuq.ensemble import GpcEnsemble, InitialCondition, sample_initial
 from swarmuq.errors import ConfigurationError, DimensionMismatchError
-from swarmuq.gpc import PolynomialFamily, build_basis, expectation_and_variance, project
+from swarmuq.gpc import PolynomialFamily, build_basis, expectation_and_variance, project, tensor_basis
 
-from oracles import bimodal_moments, cell_mean_velocities, pairwise_spread, uniform_expectation
+from oracles import bimodal_moments, cell_mean_velocities, pairwise_spread, two_pass_stats, uniform_expectation
 
 
 def test_point_mass_histogram():
@@ -159,6 +161,62 @@ def test_compute_stats_2d_orientation():
     assert rec.speed_mean == pytest.approx(1.0, abs=1e-12)
     assert rec.speed_std == pytest.approx(0.0, abs=1e-12)
     assert rec.expected_temperature > 0.0
+
+
+def _chaos_states():
+    """A 1D homogeneous state, a 2D mill state and a tensor-basis state,
+    each with decaying random higher modes on top of its initial law."""
+    rng = np.random.default_rng(31)
+    legendre4 = build_basis(PolynomialFamily.LEGENDRE, 4)
+    cases = ((InitialCondition.bimodal_velocity_1d(), 1001, build_basis(PolynomialFamily.LEGENDRE, 5)),
+             (InitialCondition.annulus_rotating_2d(), 2000, legendre4),
+             (InitialCondition.annulus_rotating_2d(), 1000, tensor_basis(legendre4, legendre4)))
+    for ic, n, basis in cases:
+        ens = sample_initial(ic, n, 3, basis.n_modes)
+        decay = 0.5 ** np.arange(1, basis.n_modes)
+        ens.x_hat[:, :, 1:] = rng.normal(size=(n, ic.dim, basis.n_modes - 1)) * decay
+        ens.v_hat[:, :, 1:] = rng.normal(size=(n, ic.dim, basis.n_modes - 1)) * decay
+        yield ens, basis
+
+
+def test_compute_stats_equals_the_two_pass_formulas():
+    # compute_stats reconstructs x once and v once, centring and squaring
+    # in place; its temperature and spreads, and those of
+    # expected_temperature and flocking_spreads, equal the formulas that
+    # reconstruct v twice and square into new arrays, bit for bit
+    for ens, basis in _chaos_states():
+        temperature, gamma, lam = two_pass_stats(ens, basis)
+        rec = compute_stats(ens, basis)
+        w = basis.quad_weights
+        assert rec.expected_temperature == temperature
+        assert rec.position_spread == float(w @ gamma)
+        assert rec.velocity_spread == float(w @ lam)
+        assert expected_temperature(ens, basis) == temperature
+        got_gamma, got_lam = flocking_spreads(ens, basis)
+        assert np.array_equal(got_gamma, gamma) and np.array_equal(got_lam, lam)
+
+
+def test_compute_stats_holds_one_node_array():
+    # at its peak compute_stats holds one (N, d, Q) array of node values
+    # and O(N d + Q) more, with numpy's ufunc buffer of getbufsize()
+    # doubles; two reconstructions of v and new arrays for the deviations
+    # and squares held about four at once
+    for ens, basis in _chaos_states():
+        compute_stats(ens, basis)
+        n, d, q = ens.n_particles, ens.dim, basis.n_nodes
+        tracemalloc.start()
+        try:
+            compute_stats(ens, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * d * q + 8 * (n * d + q) + np.getbufsize()), (n, d, q, peak)
+
+
+def test_compute_stats_checks_mode_count():
+    ens = sample_initial(InitialCondition.annulus_rotating_2d(), 10, 1, 3)
+    with pytest.raises(DimensionMismatchError, match="modes"):
+        compute_stats(ens, build_basis(PolynomialFamily.LEGENDRE, 5))
 
 
 def test_stats_csv_roundtrip(tmp_path):

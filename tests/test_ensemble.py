@@ -106,6 +106,23 @@ def test_invalid_parameters_raise():
                          ("annulus_rotating_2d", {"r_outer": inf})):
         with pytest.raises(ConfigurationError):
             getattr(InitialCondition, kind)(**params)
+    # a field of the wrong type fails with an error that names it: a
+    # string is not a number, nor a truth value, and a bool is not a number
+    for kind, params in (("bimodal_velocity_1d", {"sigma_v_sq": "0.1"}),
+                         ("bimodal_velocity_1d", {"mu": None}),
+                         ("bimodal_velocity_1d", {"sigma_x_sq": "0.3"}),
+                         ("bivariate_bimodal_1d", {"vbar": True}),
+                         ("bivariate_bimodal_1d", {"sigma_x_sq": [0.5]}),
+                         ("annulus_rotating_2d", {"r_inner": True}),
+                         ("annulus_rotating_2d", {"r_outer": "2"}),
+                         ("annulus_rotating_2d", {"counterclockwise": "false"}),
+                         ("annulus_rotating_2d", {"counterclockwise": 0})):
+        (field,) = params
+        with pytest.raises(ConfigurationError, match=field):
+            getattr(InitialCondition, kind)(**params)
+    # numpy scalars are real numbers
+    ic = InitialCondition.annulus_rotating_2d(r_inner=np.float64(0.25), r_outer=np.int64(2))
+    assert sample_initial(ic, 10, 1, 1).x_hat.shape == (10, 2, 1)
 
 
 def test_initial_streams_are_unchanged():

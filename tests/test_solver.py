@@ -384,7 +384,8 @@ def test_euler_integrator_option():
 
 def test_blowup_raises_with_particle_info(monkeypatch):
     # an absurd time step makes the morse dynamics explode; on 2 threads,
-    # with 4 chunks of 5 rows and warnings as errors, the overflow in the
+    # with 4 chunks of 5 rows (a budget of 5 rows cuts each worker's share
+    # of 10 in two) and warnings as errors, the overflow in the
     # workers must be silenced as on the calling thread, whose error state
     # numpy does not pass on to other threads.  The model is deterministic,
     # so the steps run on the one-node order-0 rule.
@@ -393,8 +394,9 @@ def test_blowup_raises_with_particle_info(monkeypatch):
     cfg = SolverConfig(n_particles=20, dt=1e6, t_end=2e6, subsample_size=20, seed=0, model=spec)
     with pytest.raises(IntegrationBlowupError, match="particle"):
         run(InitialCondition.annulus_rotating_2d(), cfg)
-    monkeypatch.setattr(solver, "_CHUNK_BUDGET", 2 * 5 * 20 * 2)
-    assert _Context(spec, _Workers(2)).order0.workspace(20, 20, 2).rows == 5
+    monkeypatch.setattr(solver, "_CHUNK_BUDGET", 5 * 20 * 2)
+    ws = _Context(spec, _Workers(2)).order0.workspace(20, 20, 2)
+    assert ws.rows == 5 and len(ws.chunks) == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationBlowupError, match="particle"):
@@ -574,23 +576,31 @@ def test_node_path_makes_no_pair_sized_temporary():
             assert peak < v_hat.nbytes + ws.chunks[0].r_sq.nbytes // 2, (name, n, peak)
 
 
+# Row chunks of 11 particles under a budget of 3 rows per worker, by
+# worker count: (rows per chunk, chunk count).  The last chunk is partial
+# every time, and the 5 workers outnumber their 4 chunks.
+_SMALL_CHUNKS = {1: (3, 4), 2: (3, 4), 3: (2, 6), 5: (3, 4)}
+
+
 def test_chunked_step_matches_one_chunk(monkeypatch):
-    # a budget of 13 rows per worker splits 40 particles into chunks of
-    # 13, 13, 13, 1, on 1, 2 and 3 workers and on 5, more workers than
-    # chunks; every step equals one of a single chunk on one worker
-    n, s, rows = 40, 5, 13
+    # a budget of 3 rows cuts 11 particles into chunks of 3, 3, 3, 2 on
+    # 1 and 2 workers, 2, 2, 2, 2, 2, 1 on 3 and 3, 3, 3, 2 on 5, more
+    # workers than chunks; every step equals one of a single chunk on
+    # one worker
+    n, s, fit = 11, 5, 3
     ic = InitialCondition.annulus_rotating_2d()
     for spec in (_mill_spec(), _combined_spec()):
         ens = sample_initial(ic, n, 5, spec.basis.n_modes)
         cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=s, seed=0, model=spec)
         whole = step(ens, cfg, np.random.default_rng(1))
         per_row = s * 2 * spec.basis.n_nodes
-        for threads in (1, 2, 3, 5):
-            monkeypatch.setattr(solver, "_CHUNK_BUDGET", threads * rows * per_row)
+        for threads, (rows, chunks) in _SMALL_CHUNKS.items():
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", fit * per_row)
             ctx = _Context(spec, _Workers(threads))
             try:
                 ws = ctx.workspace(n, s, 2)
-                assert ws.rows == rows and len(ws.chunks) == min(threads, 4)
+                assert ws.rows == rows and -(-n // rows) == chunks and n % rows != 0
+                assert len(ws.chunks) == min(threads, chunks)
                 chunked = step(ens, cfg, np.random.default_rng(1), ctx=ctx)
             finally:
                 ctx.workers.close()
@@ -602,11 +612,12 @@ def test_chunked_step_matches_one_chunk(monkeypatch):
 def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
     # the reconstruction and projection run as one product per dimension,
     # shared by the workers or, for small products, all on the calling
-    # thread; on 4 row chunks on 1, 2 and 3 workers they equal the stacked
+    # thread; on 4, 4 and 6 row chunks of 37 particles (10, 10, 10, 7 and
+    # 7, ..., 7, 2) on 1, 2 and 3 workers they equal the stacked
     # (d, N, m) @ (m, Q) and (d, N, Q) @ (Q, m) products bit for bit, on
     # random chaos states; the homogeneous shortcut adds the projection
     # to its modal alignment rate
-    n, s, rows = 40, 5, 13
+    n, s, fit = 37, 5, 10
     rng = np.random.default_rng(17)
     homogeneous_mill = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 3),
                                  alignment=CuckerSmaleParams(K="1+0.5*theta", gamma="0.0"),
@@ -619,13 +630,13 @@ def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
         alignment_only = _velocity_rate_full(x_hat, v_hat, sub, None,
                                              _Context(replace(spec, morse=None)))
         for threads, product_min in itertools.product((1, 2, 3), (0, solver._SHARED_PRODUCT_MIN)):
-            monkeypatch.setattr(solver, "_CHUNK_BUDGET", threads * rows * s * 2 * spec.basis.n_nodes)
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", fit * s * 2 * spec.basis.n_nodes)
             monkeypatch.setattr(solver, "_SHARED_PRODUCT_MIN", product_min)
             ctx = _Context(spec, _Workers(threads))
             try:
                 got = _velocity_rate_full(x_hat, v_hat, sub, None, ctx)
                 ws = ctx.workspace(n, s, 2)
-                assert ws.rows == rows and len(ws.chunks) == min(threads, 4)
+                assert (ws.rows, len(ws.chunks)) == {1: (10, 1), 2: (10, 2), 3: (7, 3)}[threads]
                 assert np.array_equal(ws.x_nodes, np.matmul(x_hat.transpose(1, 0, 2), ctx.table))
                 assert np.array_equal(ws.v_nodes, np.matmul(v_hat.transpose(1, 0, 2), ctx.table))
                 want = np.matmul(ws.rate, ctx.proj).transpose(1, 0, 2)
@@ -736,36 +747,36 @@ def test_node_path_reads_no_stale_workspace(monkeypatch):
     # every workspace buffer, those of every worker included, filled with
     # NaN (masks with True) before a warm stage: the result must equal
     # that of a fresh single-threaded context bit for bit, for a subsample
-    # table and for all-to-all, with a budget of 13 rows per worker that
-    # leaves a partial last chunk of 1 row of 40, on 1, 2, 3 and 5 workers;
-    # a short switch interval interleaves the workers often, so that a row
-    # left unwritten, or a buffer that two workers share, would show
-    n, s, rows = 40, 5, 13
+    # table and for all-to-all, with a budget of 3 rows that leaves the
+    # last chunk of the 11 rows partial, on 1, 2, 3 and 5 workers, the 5
+    # more than the chunks; a short switch interval interleaves the
+    # workers often, so that a row left unwritten, or a buffer that two
+    # workers share, would show
+    n, s, fit = 11, 5, 3
     ic = InitialCondition.annulus_rotating_2d()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        _check_no_stale_workspace(monkeypatch, n, s, rows, ic)
+        _check_no_stale_workspace(monkeypatch, n, s, fit, ic)
     finally:
         sys.setswitchinterval(interval)
 
 
-def _check_no_stale_workspace(monkeypatch, n, s, rows, ic):
+def _check_no_stale_workspace(monkeypatch, n, s, fit, ic):
     for spec in (_mill_spec(), _combined_spec()):
         ens = sample_initial(ic, n, 3, spec.basis.n_modes)
         q = spec.basis.n_nodes
         for sub in (draw_subsamples(np.random.default_rng(4), n, s), None):
             partners = n if sub is None else s
-            monkeypatch.setattr(solver, "_CHUNK_BUDGET", rows * partners * 2 * q)
             want = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, _Context(spec))
-            for threads in (1, 2, 3, 5):
-                monkeypatch.setattr(solver, "_CHUNK_BUDGET", threads * rows * partners * 2 * q)
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", fit * partners * 2 * q)
+            for threads, (rows, chunks) in _SMALL_CHUNKS.items():
                 ctx = _Context(spec, _Workers(threads))
                 try:
                     _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
                     ws = ctx.workspace(n, partners, 2)
                     assert ws.rows == rows and n % rows != 0
-                    assert len(ws.chunks) == min(threads, 4)
+                    assert len(ws.chunks) == min(threads, chunks)
                     buffers = [value for holder in [ws, *ws.chunks] for value in vars(holder).values()
                                if isinstance(value, np.ndarray)]
                     for buf in buffers:
@@ -778,27 +789,32 @@ def _check_no_stale_workspace(monkeypatch, n, s, rows, ic):
 
 
 def test_row_chunks_fit_in_l2_for_every_preset():
-    # the partner buffers, the node path's only (d, R, P, Q) arrays, hold
-    # at most 1 MiB together for every shipped preset, one per worker, so
-    # that on one worker it and the chunk's (R, P, Q) arrays share one
-    # core's 2 MiB of L2, and no less than that budget allows; a single
-    # row larger than a worker's share is a chunk of its own
+    # the partner buffer, the node path's only (d, R, P, Q) array, holds
+    # at most 1 MiB on each worker for every shipped preset, so that it
+    # and the chunk's (R, P, Q) arrays share one core's 2 MiB of L2; a
+    # single row larger than that is a chunk of its own.  Each worker's
+    # share of ceil(N/W) rows is cut into the fewest equal chunks that
+    # fit, so on 1, 2 and 4 workers every worker takes the same number
+    # of chunks, and on one worker no chunk is larger than the largest
+    # that fits, the rule of version 0.4.0
     for name in available_presets():
         ic, cfg = build_experiment(load_config(name))
-        for threads in (1, 2):
-            ws = _Context(cfg.model, _Workers(threads)).workspace(cfg.n_particles, cfg.subsample_size,
-                                                                  ic.dim)
-            assert 1 <= ws.rows <= cfg.n_particles, name
-            assert len(ws.chunks) == min(threads, -(-cfg.n_particles // ws.rows)), name
-            q = cfg.model.basis.n_nodes
+        n, s, q = cfg.n_particles, cfg.subsample_size, cfg.model.basis.n_nodes
+        fit = max(1, (1 << 17) // (s * ic.dim * q))
+        for threads in (1, 2, 4):
+            ws = _Context(cfg.model, _Workers(threads)).workspace(n, s, ic.dim)
+            share = -(-n // threads)
+            per_worker, extra = divmod(-(-n // ws.rows), threads)
+            assert extra == 0 and per_worker == -(-share // fit), name
+            assert ws.rows * (per_worker - 1) < share <= ws.rows * per_worker, name
+            assert len(ws.chunks) == threads, name
+            if threads == 1:
+                assert ws.rows <= min(n, fit), name
             for chunk in ws.chunks:
-                assert chunk.pairs.shape == (ic.dim, ws.rows, cfg.subsample_size, q), name
+                assert chunk.pairs.shape == (ic.dim, ws.rows, s, q), name
                 assert [key for key, value in vars(chunk).items() if np.ndim(value) == 4] == ["pairs"], name
             assert [key for key, value in vars(ws).items() if np.ndim(value) == 4] == [], name
-            pairs = ws.chunks[0].pairs
-            row_bytes = pairs[:, 0].nbytes
-            assert pairs.nbytes * threads <= 1 << 20 or ws.rows == 1, name
-            assert (pairs.nbytes + row_bytes) * threads > 1 << 20 or ws.rows == cfg.n_particles, name
+            assert ws.chunks[0].pairs.nbytes <= 1 << 20 or ws.rows == 1, name
 
 
 def test_runs_of_different_models_share_no_buffers():
@@ -819,8 +835,8 @@ def test_runs_of_different_models_share_no_buffers():
 def test_openblas_thread_count_restored_after_run(monkeypatch):
     # a threaded run holds OpenBLAS at one thread while its pool exists,
     # seen from the observers between steps, and gives back the earlier
-    # count when it returns and when it raises; the budget gives either
-    # run 4 or more row chunks on 2 workers
+    # count when it returns and when it raises; the budget gives the runs
+    # 8 and 2 row chunks on 2 workers
     monkeypatch.setattr(solver, "_CHUNK_BUDGET", 400)
     blas = _openblas()
     if blas is None:
