@@ -9,7 +9,10 @@
 # 4 collision-light row blocks, once on 1 thread and once on 2, and
 # fails unless both runs write the same CSV artifacts (stats.csv,
 # ensemble_final.csv, every density_*.csv and, in 2D,
-# velocity_field.csv) and each matches byte for byte.
+# velocity_field.csv) and each matches byte for byte, and unless their
+# manifest.txt files match once the threads= and out_dir= lines, which
+# differ by design, are removed: the resolved configuration does not
+# depend on the worker count.
 #
 # Usage, from the repository root: sh .github/scripts/cmp_threads.sh [dir]
 # Outputs go to dir, else $RUNNER_TEMP, else a new temporary directory.
@@ -31,5 +34,9 @@ for p in combined_2d_desk:0.1 mill_2d_desk:0.2 homogeneous:0.05:100 cs_1d:0.02; 
   for f in "$out/${name}_threads_1"/*.csv "$out/${name}_threads_2"/*.csv; do
     cmp "$out/${name}_threads_1/${f##*/}" "$out/${name}_threads_2/${f##*/}"
   done
+  for t in 1 2; do
+    grep -v -e '^threads=' -e '^out_dir=' "$out/${name}_threads_$t/manifest.txt" > "$out/${name}_manifest_$t.txt"
+  done
+  cmp "$out/${name}_manifest_1.txt" "$out/${name}_manifest_2.txt"
 done
-echo "1- and 2-thread outputs are byte-identical in $out"
+echo "1- and 2-thread outputs and manifests are byte-identical in $out"

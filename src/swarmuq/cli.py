@@ -62,35 +62,6 @@ EXPERIMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    n_particles: int
-    subsample_size: int
-    order: int
-    quad_points: int | None
-    dt: float
-    t_end: float
-    seed: int
-    family: str
-    model_params: dict
-    ic_kind: str
-    ic_params: dict
-    out_dir: str
-    stride: int
-    grid_min: float
-    grid_max: float
-    grid_bins: int
-    pgm: bool
-    integrator: str
-    reference: str
-    reference_order: int | None
-    oracle_points: int
-    oracle_v_min: float
-    oracle_v_max: float
-    source: str
-
-
 def preset_path(name: str) -> Path:
     """Filesystem path of a shipped preset (name with or without .cfg)."""
     fname = name if name.endswith(".cfg") else name + ".cfg"
@@ -150,11 +121,55 @@ def _cast_like(default):
     return _as_affine if isinstance(default, str) else _as_float
 
 
+_REQUIRED = object()
+
+
+def _key(section: str, name: str, default=_REQUIRED, cast=str):
+    """A field read from config key ``name`` of ``[section]``, cast by
+    ``cast``; without a default the key is required."""
+    return dataclasses.field(metadata={"key": (section, name, default, cast)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A resolved experiment.  Each field made by ``_key`` declares its
+    config key; ``load_config`` resolves the others: the experiment kind,
+    its [model] and [initial] keys from ``EXPERIMENTS``, and the file read."""
+
+    kind: str
+    n_particles: int = _key("experiment", "N", cast=_as_int)
+    subsample_size: int = _key("experiment", "S", cast=_as_int)
+    order: int = _key("experiment", "M", cast=_as_int)
+    quad_points: int | None = _key("experiment", "Q", None, _as_int)
+    dt: float = _key("experiment", "dt", cast=_as_float)
+    t_end: float = _key("experiment", "t_end", cast=_as_float)
+    seed: int = _key("experiment", "seed", 0, _as_int)
+    family: str = _key("experiment", "family", "legendre", lambda s: PolynomialFamily(s.lower()).value)
+    model_params: dict
+    ic_kind: str
+    ic_params: dict
+    out_dir: str = _key("output", "dir", "out")
+    stride: int = _key("output", "stride", 1, _as_int)
+    grid_min: float = _key("output", "grid_min", -2.0, _as_float)
+    grid_max: float = _key("output", "grid_max", 2.0, _as_float)
+    grid_bins: int = _key("output", "grid_bins", 50, _as_int)
+    pgm: bool = _key("output", "pgm", False, _as_bool)
+    integrator: str = _key("experiment", "integrator", "rk4", _one_of("rk4", "euler"))
+    reference: str = _key("converge", "reference", "particle", _one_of("particle", "oracle"))
+    reference_order: int | None = _key("converge", "reference_order", None, _as_int)
+    oracle_points: int = _key("oracle", "points", 801, _as_int)
+    oracle_v_min: float = _key("oracle", "v_min", -2.0, _as_float)
+    oracle_v_max: float = _key("oracle", "v_max", 2.0, _as_float)
+    source: str
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file (or shipped preset name).
 
-    Every key is read through one ``get``, which casts it and records it;
-    any section or key of the file that was not read is an error."""
+    Every key is read through one ``get``, which casts it and records it:
+    the keys declared on ``ExperimentConfig``'s fields, the experiment's
+    [model] keys and its initial condition's [initial] keys.  Any section
+    or key of the file that was not read is an error."""
     candidate = Path(path)
     if not candidate.exists():
         try:
@@ -171,13 +186,12 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {candidate}: {exc}") from exc
 
-    required = object()
     read = set()
 
-    def get(section, key, default=required, cast=str):
+    def get(section, key, default=_REQUIRED, cast=str):
         read.add((section, key.lower()))
         if not parser.has_option(section, key):
-            if default is required:
+            if default is _REQUIRED:
                 raise ConfigurationError(f"{candidate}: missing [{section}] {key}")
             return default
         raw = parser.get(section, key)
@@ -194,33 +208,12 @@ def load_config(path) -> ExperimentConfig:
     kind = get("experiment", "kind", cast=_one_of(*EXPERIMENTS))
     default_ic, model_defaults = EXPERIMENTS[kind]
     ic_kind = get("initial", "kind", default_ic, _one_of(*InitialCondition.kinds))
+    keyed = {fld.name: get(*fld.metadata["key"]) for fld in dataclasses.fields(ExperimentConfig) if fld.metadata}
     cfg = ExperimentConfig(
-        kind=kind,
-        n_particles=get("experiment", "N", cast=_as_int),
-        subsample_size=get("experiment", "S", cast=_as_int),
-        order=get("experiment", "M", cast=_as_int),
-        quad_points=get("experiment", "Q", None, _as_int),
-        dt=get("experiment", "dt", cast=_as_float),
-        t_end=get("experiment", "t_end", cast=_as_float),
-        seed=get("experiment", "seed", 0, _as_int),
-        family=get("experiment", "family", "legendre", lambda s: PolynomialFamily(s.lower()).value),
+        **keyed, kind=kind, ic_kind=ic_kind, source=str(candidate),
         model_params=given("model", {key: _cast_like(value) for key, value in model_defaults.items()}),
-        ic_kind=ic_kind,
         ic_params=given("initial", {fld.name: _cast_like(fld.default)
                                     for fld in dataclasses.fields(InitialCondition.kinds[ic_kind])}),
-        out_dir=get("output", "dir", "out"),
-        stride=get("output", "stride", 1, _as_int),
-        grid_min=get("output", "grid_min", -2.0, _as_float),
-        grid_max=get("output", "grid_max", 2.0, _as_float),
-        grid_bins=get("output", "grid_bins", 50, _as_int),
-        pgm=get("output", "pgm", False, _as_bool),
-        integrator=get("experiment", "integrator", "rk4", _one_of("rk4", "euler")),
-        reference=get("converge", "reference", "particle", _one_of("particle", "oracle")),
-        reference_order=get("converge", "reference_order", None, _as_int),
-        oracle_points=get("oracle", "points", 801, _as_int),
-        oracle_v_min=get("oracle", "v_min", -2.0, _as_float),
-        oracle_v_max=get("oracle", "v_max", 2.0, _as_float),
-        source=str(candidate),
     )
     for section in parser.sections():
         known = {key for s, key in read if s == section}
@@ -241,11 +234,6 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _model(cfg: ExperimentConfig) -> dict:
-    """The [model] values: the config's over the experiment's defaults."""
-    return {**EXPERIMENTS[cfg.kind][1], **cfg.model_params}
-
-
 def _force(params_type, model: dict):
     """``params_type`` built from the [model] values, or None when the
     experiment does not read its keys (its fields, lowercased)."""
@@ -259,7 +247,7 @@ def build_experiment(cfg: ExperimentConfig) -> tuple[InitialCondition, SolverCon
     """Resolve a config into the initial condition and solver configuration."""
     family = PolynomialFamily(cfg.family)
     basis = build_basis(family, cfg.order, cfg.quad_points)
-    model_values = _model(cfg)
+    model_values = {**EXPERIMENTS[cfg.kind][1], **cfg.model_params}   # the config's over the defaults
     alignment = _force(CuckerSmaleParams, model_values)
     morse = _force(MorseSwarmParams, model_values)
     if cfg.kind == "homogeneous" and not alignment.position_independent:
@@ -413,11 +401,10 @@ def _oracle_problem(cfg: ExperimentConfig):
     """Velocity grid, basis, initial density and strength K of the
     finite-difference reference solve."""
     grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
-    basis = build_basis(PolynomialFamily(cfg.family), cfg.order, cfg.quad_points)
-    ic = InitialCondition.kinds[cfg.ic_kind](**cfg.ic_params)
+    ic, solver_cfg = build_experiment(cfg)
     # the velocity law of either 1D initial condition: two bumps at +-mu or +-vbar
     f0 = bimodal_density(grid, ic.sigma_v_sq, ic.mu if isinstance(ic, BimodalVelocity1D) else ic.vbar)
-    return grid, basis, f0, _model(cfg)["k"]
+    return grid, solver_cfg.model.basis, f0, solver_cfg.model.alignment.K
 
 
 def _oracle_temperature(cfg: ExperimentConfig) -> float:

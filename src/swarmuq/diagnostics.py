@@ -220,8 +220,8 @@ def write_density_csv(grid: DensityGrid, path) -> None:
 def write_pgm(grid: DensityGrid, path) -> None:
     """Grayscale P2 heatmap of a 2D grid, linearly scaled to 0..255.
 
-    Row----column order follows the value array; a zero-max grid maps to
-    all black.  The format is plain ASCII: 'P2', dimensions, maxval 255,
+    Rows and columns are those of the value array; a zero-max grid maps
+    to all black.  The format is plain ASCII: 'P2', dimensions, maxval 255,
     then one raster row per line.
     """
     if grid.values.ndim != 2:

@@ -71,18 +71,18 @@ def sg_homogeneous_solve(
     K: UncertainScalar | float | str,
     basis: Basis,
     grid: VelocityGrid,
-    dt: float | None = None,
     t_end: float = 1.0,
     observers=(),
     observer_stride: int = 1,
 ) -> SgDensity:
     """Integrate the projected homogeneous equation to t_end.
 
-    f0 must be nonnegative with unit discrete mass.  dt defaults to dv^2
-    and must not exceed it.  Observers are callables of the current
-    SgDensity, fired on the initial state, every ``observer_stride``
-    steps, and at t_end.  The mode-0 mass and the finiteness of the
-    coefficients are checked every 200 steps and on the returned state.
+    f0 must be nonnegative with unit discrete mass.  The time step is
+    dv^2, the scheme's stability limit.  Observers are callables of the
+    current SgDensity, fired on the initial state, every
+    ``observer_stride`` steps, and at t_end.  The mode-0 mass and the
+    finiteness of the coefficients are checked every 200 steps and on the
+    returned state.
     """
     K = _as_uncertain(K)
     f0 = np.asarray(f0, dtype=float)
@@ -93,10 +93,6 @@ def sg_homogeneous_solve(
         raise ConfigurationError("initial density must be nonnegative")
     if not abs(f0.sum() * dv - 1.0) <= 1e-8:   # a NaN fails too
         raise ConfigurationError(f"initial density mass is {f0.sum() * dv!r}, expected 1")
-    if dt is None:
-        dt = dv * dv
-    if dt > dv * dv * (1.0 + 1e-12):
-        raise ConfigurationError(f"dt={dt:g} violates the stability relation dt <= dv^2 = {dv * dv:g}")
     if K.min_on(basis.quad_nodes) <= 0.0:
         raise ConfigurationError(f"K = {K} must be positive at every quadrature node")
 
@@ -136,7 +132,7 @@ def sg_homogeneous_solve(
         for obs in observers:
             obs(SgDensity(grid=grid, coeffs=sol.coeffs.copy(), time=sol.time, u=sol.u))
 
-    sol = march(lambda: SgDensity(grid=grid, coeffs=coeffs, time=0.0, u=u), advance, t_end, dt,
+    sol = march(lambda: SgDensity(grid=grid, coeffs=coeffs, time=0.0, u=u), advance, t_end, dv * dv,
                 observe, observer_stride)
     check(sol)
     return sol

@@ -132,6 +132,44 @@ def test_run_emits_artifacts(tmp_path):
     assert f"threads={_usable_cores()}" in manifest.splitlines()
 
 
+def test_run_manifest_is_pinned(tmp_path):
+    # the whole manifest, so that a reordered, renamed or dropped field shows
+    out = tmp_path / "pinned"
+    assert main(["run", "homogeneous", "--out", str(out), "--seed", "11", "--threads", "1"]) == 0
+    assert (out / "manifest.txt").read_text() == textwrap.dedent(f"""\
+        swarmuq_version={swarmuq.__version__}
+        command=run
+        threads=1
+        kind=homogeneous
+        n_particles=10000
+        subsample_size=10000
+        order=5
+        quad_points=None
+        dt=0.01
+        t_end=1.0
+        seed=11
+        family=legendre
+        model_params.gamma=0.0
+        model_params.k=1.0 + 0.25*theta
+        ic_kind=bimodal_velocity_1d
+        ic_params.mu=0.25
+        ic_params.sigma_v_sq=0.1
+        out_dir={out}
+        stride=10
+        grid_min=-2.0
+        grid_max=2.0
+        grid_bins=50
+        pgm=False
+        integrator=rk4
+        reference=particle
+        reference_order=None
+        oracle_points=101
+        oracle_v_min=-2.0
+        oracle_v_max=2.0
+        source={preset_path("homogeneous")}
+        """)
+
+
 def _usable_cores():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 

@@ -355,6 +355,50 @@ def test_tensor_uncertainty_reduces_to_1d_when_second_input_trivial():
     assert np.abs(v2[:, :, :, 0] - fin1.v_hat).max() < 1e-10
 
 
+_COLLOCATION_MODELS = {
+    # name: (alignment, morse, initial condition)
+    "alignment": (_cs_spec().alignment, None, InitialCondition.bivariate_bimodal_1d()),
+    "morse": (None, _mill_spec().morse, InitialCondition.annulus_rotating_2d()),
+    "combined": (CuckerSmaleParams(K="5.0", gamma="0.1+0.05*theta"), _mill_spec().morse,
+                 InitialCondition.annulus_rotating_2d()),
+}
+
+
+def _collocation_error(name, order, quad):
+    """Largest relative distance between a subsampled chaos run's node
+    values and a deterministic order-0 run at each node, over x, v and the
+    nodes; both runs share N, S, seed and dt, hence their partner stream."""
+    align, morse, ic = _COLLOCATION_MODELS[name]
+    basis = build_basis(PolynomialFamily.LEGENDRE, order, quad)
+    if align is not None and morse is not None:
+        basis = tensor_basis(basis, basis)
+    setup = dict(n_particles=80, dt=0.01, t_end=0.25, subsample_size=8, seed=5)
+    _, fin = run(ic, SolverConfig(**setup, model=ModelSpec(basis=basis, alignment=align, morse=morse)))
+    worst = 0.0
+    for q, (theta_align, theta_morse) in enumerate(basis.nodes[[0, -1]].T):
+        at_node = ModelSpec(
+            basis=build_basis(PolynomialFamily.LEGENDRE, 0),
+            alignment=None if align is None else CuckerSmaleParams(
+                K=float(align.K(theta_align)), gamma=float(align.gamma(theta_align))),
+            morse=None if morse is None else replace(
+                morse, C_A=float(morse.C_A(theta_morse)), C_R=float(morse.C_R(theta_morse))))
+        _, ref = run(ic, SolverConfig(**setup, model=at_node))
+        for hat, ref_hat in ((fin.x_hat, ref.x_hat[:, :, 0]), (fin.v_hat, ref.v_hat[:, :, 0])):
+            node = hat @ basis.basis_table[:, q]
+            worst = max(worst, np.abs(node - ref_hat).max() / np.abs(ref_hat).max())
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(_COLLOCATION_MODELS))
+def test_minimal_gauss_rule_is_stochastic_collocation(name):
+    # at Q = M+1 nodes per input the basis table is square and the
+    # projection its inverse, so each node moves exactly as the
+    # deterministic system at that node; at Q = 2(M+1) it does not
+    order = 3
+    assert _collocation_error(name, order, order + 1) <= 1e-13
+    assert _collocation_error(name, order, 2 * (order + 1)) > 1e-13
+
+
 def test_reproducibility_bit_identical():
     spec = _cs_spec()
     ic = InitialCondition.bivariate_bimodal_1d()

@@ -22,11 +22,14 @@ def _particle_times(t_end, dt, stride):
 
 
 def _reference_times(t_end, dt, stride):
-    """Times at which the finite-difference reference's observers fire."""
-    grid = VelocityGrid(-2.0, 2.0, 17)   # dv^2 = 1/16
+    """Times at which the finite-difference reference's observers fire.
+    Its step is dv^2, so the grid has dv = sqrt(dt); a zero step is a grid
+    of zero width, which ``VelocityGrid`` refuses."""
+    dv = math.sqrt(dt)
+    grid = VelocityGrid(-8 * dv, 8 * dv, 17)
     times = []
     sg_homogeneous_solve(bimodal_density(grid), 1.0, build_basis(PolynomialFamily.LEGENDRE, 1), grid,
-                         dt=dt, t_end=t_end, observers=[lambda s: times.append(s.time)],
+                         t_end=t_end, observers=[lambda s: times.append(s.time)],
                          observer_stride=stride)
     return times
 
