@@ -3,9 +3,9 @@
 # on one thread, and 8 shared by two workers, 4 each) and of
 # mill_2d_desk, whose Morse-only branch has 4 row chunks of 500 per stage
 # on one thread and on two workers, 5 steps of the homogeneous preset
-# with S = 100, whose subsample mean two workers share as two CSR row
-# blocks and whose subsample table they draw as 8 row blocks of the
-# sorted redraw, and 2 steps of cs_1d (N = 10^5, S = 5), whose table is
+# with S = 100, whose subsample mean two workers share as 46 row chunks
+# of 218 rows (the last one of 190), and whose subsample table they
+# draw as 8 row blocks of the sorted redraw, and 2 steps of cs_1d (N = 10^5, S = 5), whose table is
 # 4 collision-light row blocks, once on 1 thread and once on 2, and
 # fails unless both runs write the same CSV artifacts (stats.csv,
 # ensemble_final.csv, every density_*.csv and, in 2D,

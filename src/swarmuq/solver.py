@@ -26,24 +26,22 @@ contraction passes read contiguous (R, P, Q) slices of a chunk of R
 rows with P partners each.  The projection runs once per stage, after
 the last chunk, because BLAS rounds a row of a product differently with
 the number of rows around it, and the result must not depend on the
-chunk size.  Still allocated per step are the subsample table, the
-homogeneous shortcut's CSR mean blocks and the weighted sums of the
-rates that ``timegrid.rk4`` keeps; per stage, the stage state and the
-modal rate.  Keeping the CSR ``data`` and ``indptr`` for the whole run
-saved about 0.03 s of a 2 s homogeneous_dense run but raised its peak
-RSS by 1.4 MB, so they are rebuilt with the matrix each step.
+chunk size.  The homogeneous shortcut's subsample mean keeps its own
+per-worker partner buffers, cut by the same chunk rule, and its scaled
+modes and result in the context too.  Still allocated per step are the
+subsample table and the weighted sums of the rates that
+``timegrid.rk4`` keeps; per stage, the stage state and the modal rate.
 
 Threads: with W workers (``run(..., threads=W)``) the step's subsample
 draw and each phase of a stage (the homogeneous shortcut's subsample
 mean, the reconstruction, the row chunks, the projection) are shared
 out, worker k taking jobs k, k + W, ..., and each phase ends before the
 next starts; numpy releases the interpreter lock inside every pass,
-product and bulk random draw, and scipy 1.17 inside its CSR product.
-The draw's jobs are row blocks of a fixed size, each with its own
-random stream (see ``draw_subsamples``).  The subsample mean is one CSR
-row block per worker, with the data and indices of one whole matrix.  A
-block's partners do not depend on the worker that draws it, a CSR row's
-mean depends only on that row's partners in their stored order, a
+product, gather, reduction and bulk random draw.  The draw's jobs are
+row blocks of a fixed size, each with its own random stream (see
+``draw_subsamples``); the subsample mean's are row chunks.  A block's
+partners do not depend on the worker that draws it, a row's mean
+depends only on that row's partners in their stored order, a
 per-dimension product is the same BLAS call that a stacked matmul over
 the dimensions makes, and a row's rate does not depend on the chunk
 that holds it, so results are bit-identical for every W.  The mean and
@@ -90,8 +88,8 @@ _CHUNK_BUDGET = 1 << 17
 
 # Multiply-adds of one (N, m) @ (m, Q) product of the reconstruction or
 # projection below which those products stay on the calling thread, and
-# of the homogeneous subsample mean (N * S * d * m) below which it stays
-# one CSR block there.  A pool thread starts a task 60-150 us after it is
+# of the homogeneous subsample mean (N * S * d * m) below which all its
+# row chunks stay there.  A pool thread starts a task 60-150 us after it is
 # handed over, and one core does 2^19 multiply-adds in 40-100 us.  On 2
 # workers of a 2-core Xeon, a stage of mill_2d_desk (10^5 per product,
 # 20 us) took 4.32 ms with its products shared and 4.09 ms without; one
@@ -194,10 +192,9 @@ class _Workers:
     a pool holds the other ``count - 1``.  The pool starts when a step
     first shares work among more than one worker (the subsample draw's
     row blocks, row chunks, the per-dimension products or the subsample
-    mean's row blocks), and
-    OpenBLAS is held at one thread from then until ``close``: after a
-    threaded matmul its idle threads spin-wait and take a core from the
-    workers."""
+    mean's row chunks), and OpenBLAS is held at one thread from then
+    until ``close``: after a threaded matmul its idle threads spin-wait
+    and take a core from the workers."""
 
     def __init__(self, count: int):
         self.count = count
@@ -281,6 +278,10 @@ class _Context:
             self.cr_nodes = np.atleast_1d(model.morse.C_R(model.morse_nodes))
         self._order0 = None
         self._workspace = None
+        # the homogeneous subsample mean's (N, S, width), its (N, width)
+        # scaled modes and result, chunk rows and per-worker partner
+        # buffers, kept while that shape lasts
+        self.means = (None,)
 
     @property
     def order0(self) -> "_Context":
@@ -305,22 +306,16 @@ class _Workspace:
     rows of the rate, and one set of row-chunk buffers per worker that
     has a chunk.  Nothing is allocated per stage but the modal rate.
 
-    Chunks have ``rows`` rows, the last one possibly fewer: a worker's
-    share of ceil(N/W) rows is cut into the fewest equal pieces whose
-    partner buffer fits ``_CHUNK_BUDGET``, so the N rows make at most W
-    times that many chunks.  At W = 1 there are as many chunks as with
-    the largest chunk that fits, and none is larger."""
+    Chunks have ``rows`` rows, the last one possibly fewer, by
+    ``_row_chunks`` for a (d, P, Q) partner buffer row."""
 
     def __init__(self, n: int, partners: int, d: int, q: int, workers: int):
         self.shape = (n, partners, d)
-        share = -(-n // workers)
-        fit = max(1, _CHUNK_BUDGET // max(partners * d * q, 1))
-        self.rows = -(-share // -(-share // fit))
+        self.rows, self.chunks = _row_chunks(n, partners * d * q, workers,
+                                             lambda rows: _ChunkBuffers(rows, partners, d, q))
         self.x_nodes = np.empty((d, n, q))              # x_hat @ table, per dimension
         self.v_nodes = np.empty((d, n, q))
         self.rate = np.empty((d, n, q))                 # projected once per stage
-        chunks = -(-n // self.rows)
-        self.chunks = [_ChunkBuffers(self.rows, partners, d, q) for _ in range(min(workers, chunks))]
 
 
 class _ChunkBuffers:
@@ -339,6 +334,19 @@ class _ChunkBuffers:
         self.mask = np.empty((rows, partners, q), dtype=bool)  # not r > 0
         self.term = np.empty((d, rows, q))              # Morse force, then propulsion
         self.speed_sq = np.empty((rows, q))
+
+
+def _row_chunks(n: int, row_size: int, workers: int, buffers) -> tuple[int, list]:
+    """The rows of one row chunk, for rows of ``row_size`` partner-buffer
+    elements, and ``buffers(rows)`` for each of the W workers that has a
+    chunk.  A worker's share of ceil(N/W) rows is cut into the fewest
+    equal pieces whose partner buffer fits ``_CHUNK_BUDGET``, so the N
+    rows make at most W times that many chunks.  At W = 1 there are as
+    many chunks as with the largest chunk that fits, and none is larger."""
+    share = -(-n // workers)
+    fit = max(1, _CHUNK_BUDGET // max(row_size, 1))
+    rows = -(-share // -(-share // fit))
+    return rows, [buffers(rows) for _ in range(min(workers, -(-n // rows)))]
 
 
 def _rows_of(buf, rows):
@@ -361,8 +369,7 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int,
     - collision-light, s(s-1) <= n//4: ``_rejection_rows``, int64, in
       draw order.
     - middle, up to 10s = 3n: ``_sorted_redraw``, int32, each row sorted
-      ascending.  ``np.take`` and scipy's CSR take int32 indices as they
-      are.
+      ascending.  ``np.take`` accepts int32 indices.
     - very dense, 10s > 3n: ``_shuffled_rows``, int64, in permutation
       order.
 
@@ -452,21 +459,39 @@ def _shuffled_rows(rng: np.random.Generator, n: int, s: int, rows: int) -> np.nd
     return rng.permuted(perm, axis=1, out=perm)[:, :s]
 
 
-def _subsample_mean_matrix(sub: np.ndarray, n: int):
-    """(rows, n) CSR matrix whose row i averages over the partners
-    ``sub[i]``; ``step`` builds one for each worker's row block of the
-    subsample table, and their products fill the rows of one mean.
+def _partner_mean_less_own(flat: np.ndarray, sub: np.ndarray, ctx: _Context) -> np.ndarray:
+    """(N, d*m) mean of the modes ``flat`` of each particle's S partners
+    ``sub``, less its own: the homogeneous shortcut's subsample mean.
 
-    scipy.sparse is imported here, the only place that uses it, so that
-    a run without a subsampled homogeneous mean never loads scipy (about
-    0.2 s and 14 MB at start-up).  Its CSR product is the fastest exact
-    mean found: see "scipy" in the README."""
-    from scipy import sparse
+    Each row chunk's partners are gathered into its worker's (S, R,
+    width) buffer, cut by ``_row_chunks``, and summed along the outer
+    axis, so a row adds the products (1/S) * v_j in its stored partner
+    order, starting from 0.0: the sum that a CSR matrix-vector product
+    with data 1/S forms, bit for bit, whatever the row's chunk or worker.
+    The chunks run on the calling thread below ``_SHARED_PRODUCT_MIN``
+    multiply-adds (N * S * d * m).  The result is a view of an array of
+    ``ctx``, rewritten by the next call."""
+    n, s = sub.shape
+    # numpy sums a reduction of one element pairwise, not in order: a
+    # single column is widened to two, so that no chunk is one element
+    width = max(flat.shape[1], 2)
+    if ctx.means[0] != (n, s, width):
+        ctx.means = ((n, s, width), np.empty((n, width)), np.empty((n, width)),
+                     *_row_chunks(n, s * width, ctx.workers.count, lambda rows: np.empty((s, rows, width))))
+    _, scaled, diff, rows, buffers = ctx.means
+    np.multiply(flat, 1.0 / s, out=scaled)
 
-    rows, s = sub.shape
-    indptr = np.arange(0, rows * s + 1, s)
-    data = np.full(rows * s, 1.0 / s)
-    return sparse.csr_matrix((data, sub.ravel(), indptr), shape=(rows, n))
+    def mean_rows(i, k):   # chunk i, in worker k's buffer
+        lo, hi = i * rows, min(n, (i + 1) * rows)
+        gathered = _rows_of(buffers[k], hi - lo)
+        # indices come from draw_subsamples; "clip" avoids the buffered copy of "raise"
+        np.take(scaled, sub[lo:hi].T, axis=0, out=gathered, mode="clip")
+        np.add.reduce(gathered, axis=0, out=diff[lo:hi], initial=0.0)
+        np.subtract(diff[lo:hi], flat[lo:hi], out=diff[lo:hi])
+
+    tasks = len(buffers) if flat.size * s >= _SHARED_PRODUCT_MIN else 1
+    ctx.workers.share(-(-n // rows), mean_rows, tasks)
+    return diff[:, :flat.shape[1]]
 
 
 def _contract(w, pairs, out):
@@ -528,25 +553,14 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws, node_rate) -> np.nd
     return rate
 
 
-def _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx) -> np.ndarray:
-    """Modal velocity rate for every particle.  ``sub_mean`` is the
-    homogeneous shortcut's subsample mean as CSR row blocks in row order,
-    one per worker that shares the product (see ``step``), or None."""
+def _velocity_rate_full(x_hat, v_hat, sub, ctx) -> np.ndarray:
+    """Modal velocity rate for every particle, with the (N, S) partner
+    table ``sub``, or None for all-to-all."""
     n, d, m = v_hat.shape
     share = ctx.workers.share
     if ctx.homogeneous:
-        if sub_mean is None:
-            diff = v_hat.mean(axis=0)[None, :, :] - v_hat
-        else:
-            flat = v_hat.reshape(n, d * m)
-            diff = np.empty((n, d * m))
-            bounds = np.cumsum([0] + [block.shape[0] for block in sub_mean])
-
-            def mean_rows(i, _):   # a CSR row sums its own partners in stored order, in any block
-                lo, hi = bounds[i], bounds[i + 1]
-                np.subtract(sub_mean[i] @ flat, flat[lo:hi], out=diff[lo:hi])
-
-            share(len(sub_mean), mean_rows, len(sub_mean))
+        flat = v_hat.reshape(n, d * m)
+        diff = flat.mean(axis=0) - flat if sub is None else _partner_mean_less_own(flat, sub, ctx)
         # one (N*d, m) @ (m, m) product on the calling thread, not N stacked
         # (d, m) @ (m, m) ones: BLAS rounds a row with the product's height
         dv = (diff.reshape(n * d, m) @ ctx.e_const.T).reshape(n, d, m)
@@ -596,18 +610,10 @@ def step(ens: GpcEnsemble, cfg: SolverConfig, rng: np.random.Generator, dt: floa
         # keep the higher modes at exact zero.
         ctx = ctx.order0
         x0, v0 = x0[:, :, :1], v0[:, :, :1]
-    n = ens.n_particles
-    sub = draw_subsamples(rng, n, cfg.subsample_size, ctx.workers)
-    sub_mean = None
-    if sub is not None and ctx.homogeneous:
-        # one row block per worker when the mean's N*S*d*m multiply-adds
-        # are worth sharing; the blocks hold the data of one whole matrix
-        blocks = ctx.workers.count if sub.size * v0[0].size >= _SHARED_PRODUCT_MIN else 1
-        sub_mean = [_subsample_mean_matrix(sub[n * k // blocks:n * (k + 1) // blocks], n)
-                    for k in range(blocks)]
+    sub = draw_subsamples(rng, ens.n_particles, cfg.subsample_size, ctx.workers)
 
     def rhs(x_hat, v_hat):
-        return v_hat, _velocity_rate_full(x_hat, v_hat, sub, sub_mean, ctx)
+        return v_hat, _velocity_rate_full(x_hat, v_hat, sub, ctx)
 
     integrate = euler if cfg.integrator == "euler" else rk4
     # overflow in a diverging run is reported via the finiteness check below
@@ -648,7 +654,7 @@ def run(
     index), so trajectories are reproducible and independent of how work
     is scheduled.  ``threads`` workers share the row blocks of the
     subsample draw, the row chunks and products of the node path and the
-    row blocks of the homogeneous shortcut's subsample mean; the result is
+    row chunks of the homogeneous shortcut's subsample mean; the result is
     bit-identical for every count.
     """
     if threads < 1:

@@ -549,35 +549,40 @@ def _fresh_python(tmp_path, script: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-def test_scipy_loads_only_for_the_subsampled_homogeneous_mean(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
+    # scipy is a test dependency only: a mill run, a homogeneous run with
+    # S = N and one with S < N (the subsample mean) and the oracle load no
+    # scipy module
     mill = _write(tmp_path, MINI_MILL, name="mill.cfg", out=str(tmp_path / "mill"))
     full = _write(tmp_path, MINI_HOMOGENEOUS, name="full.cfg", out=str(tmp_path / "full"))
     sub = _write(tmp_path, MINI_HOMOGENEOUS.replace("S = 500", "S = 20"),
                  name="sub.cfg", out=str(tmp_path / "sub"))
     done = _fresh_python(tmp_path, f"""
         import sys
-        from swarmuq.cli import cmd_run
-        assert cmd_run({str(mill)!r}) == 0 and cmd_run({str(full)!r}) == 0
+        from swarmuq.cli import cmd_oracle, cmd_run
+        assert cmd_run({str(mill)!r}) == 0 and cmd_run({str(full)!r}) == 0 and cmd_run({str(sub)!r}) == 0
+        assert cmd_oracle({str(full)!r}, out="oracle") == 0
         loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
         assert not loaded, loaded[:5]
-        assert cmd_run({str(sub)!r}) == 0
-        assert "scipy.sparse" in sys.modules
     """)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "sub" / "ensemble_final.csv").exists()
+    assert (tmp_path / "oracle" / "oracle_temperature.csv").exists()
 
 
-def test_lazy_scipy_import_in_converge_threads(tmp_path):
-    # The reference is all-to-all, so scipy.sparse is first imported by
-    # the subsampled sweep points, inside the worker threads.
+def test_converge_threads_write_the_same_errors(tmp_path):
+    # The reference is all-to-all and the sweep points take subsample
+    # means, on 3 worker threads and on one: the error tables are the same
+    # bytes, and neither run loads scipy.
     cfg = _write(tmp_path, MINI_HOMOGENEOUS.replace("N = 500\nS = 500", "N = 200\nS = 200"),
                  out=str(tmp_path / "unused"))
     for threads in (3, 1):
         done = _fresh_python(tmp_path, f"""
             import sys
             from swarmuq.cli import main
-            sys.exit(main(["converge", {str(cfg)!r}, "--sweep", "S=5,10,20",
-                           "--threads", "{threads}", "--out", "t{threads}"]))
+            code = main(["converge", {str(cfg)!r}, "--sweep", "S=5,10,20",
+                         "--threads", "{threads}", "--out", "t{threads}"])
+            sys.exit(code or any(name.split(".")[0] == "scipy" for name in sys.modules))
         """)
         assert done.returncode == 0, done.stderr
     assert (tmp_path / "t3" / "errors.csv").read_bytes() == (tmp_path / "t1" / "errors.csv").read_bytes()

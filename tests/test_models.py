@@ -25,7 +25,7 @@ def _morse_rate(params, x, v=None):
     x_hat = np.asarray(x, dtype=float)[:, :, None]
     v_hat = np.zeros_like(x_hat) if v is None else np.asarray(v, dtype=float)[:, :, None]
     spec = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 0, 1), morse=params)
-    return _velocity_rate_full(x_hat, v_hat, None, None, _Context(spec))[:, :, 0]
+    return _velocity_rate_full(x_hat, v_hat, None, _Context(spec))[:, :, 0]
 
 
 def test_uncertain_scalar_parsing():

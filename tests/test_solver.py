@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 
 from swarmuq.cli import available_presets, build_experiment, load_config
 from swarmuq.ensemble import GpcEnsemble, InitialCondition, evaluate_at_nodes, sample_initial
@@ -25,8 +25,8 @@ from swarmuq.solver import (
     _Workers,
     _forces_for_rows,
     _openblas,
+    _partner_mean_less_own,
     _sorted_redraw,
-    _subsample_mean_matrix,
     _velocity_rate_full,
     draw_subsamples,
     run,
@@ -54,8 +54,7 @@ def _rate(ens, partners, spec):
     """Modal velocity rate of every particle when each interacts with the
     same partners."""
     sub = np.tile(np.asarray(partners), (ens.n_particles, 1))
-    return _velocity_rate_full(ens.x_hat, ens.v_hat, sub,
-                               [_subsample_mean_matrix(sub, ens.n_particles)], _Context(spec))
+    return _velocity_rate_full(ens.x_hat, ens.v_hat, sub, _Context(spec))
 
 
 def _mill_spec(order=3):
@@ -592,7 +591,7 @@ def test_forces_for_rows_match_allocating_reference():
                 assert np.array_equal(got, want)
             if not ctx.homogeneous:
                 want = np.matmul(forces_for_rows(np.arange(n), x_nodes, v_nodes, sub, ctx), ctx.proj)
-                got = _velocity_rate_full(x_hat, v_hat, sub, None, ctx)
+                got = _velocity_rate_full(x_hat, v_hat, sub, ctx)
                 assert np.array_equal(got, want.transpose(1, 0, 2))
 
 
@@ -609,11 +608,11 @@ def test_node_path_makes_no_pair_sized_temporary():
                                                          cfg.subsample_size)),
                        (200, None)):
             x_hat, v_hat = ens.x_hat[:n], ens.v_hat[:n]
-            _velocity_rate_full(x_hat, v_hat, sub, None, ctx)   # builds the workspace
+            _velocity_rate_full(x_hat, v_hat, sub, ctx)   # builds the workspace
             ws = ctx.workspace(n, n if sub is None else sub.shape[1], ic.dim)
             tracemalloc.start()
             try:
-                _velocity_rate_full(x_hat, v_hat, sub, None, ctx)
+                _velocity_rate_full(x_hat, v_hat, sub, ctx)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -671,14 +670,14 @@ def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
         x_hat = rng.normal(size=(n, 2, m)) * 0.5 ** np.arange(m)
         v_hat = rng.normal(size=(n, 2, m)) * 0.5 ** np.arange(m)
         sub = draw_subsamples(rng, n, s)
-        alignment_only = _velocity_rate_full(x_hat, v_hat, sub, None,
+        alignment_only = _velocity_rate_full(x_hat, v_hat, sub,
                                              _Context(replace(spec, morse=None)))
         for threads, product_min in itertools.product((1, 2, 3), (0, solver._SHARED_PRODUCT_MIN)):
             monkeypatch.setattr(solver, "_CHUNK_BUDGET", fit * s * 2 * spec.basis.n_nodes)
             monkeypatch.setattr(solver, "_SHARED_PRODUCT_MIN", product_min)
             ctx = _Context(spec, _Workers(threads))
             try:
-                got = _velocity_rate_full(x_hat, v_hat, sub, None, ctx)
+                got = _velocity_rate_full(x_hat, v_hat, sub, ctx)
                 ws = ctx.workspace(n, s, 2)
                 assert (ws.rows, len(ws.chunks)) == {1: (10, 1), 2: (10, 2), 3: (7, 3)}[threads]
                 assert np.array_equal(ws.x_nodes, np.matmul(x_hat.transpose(1, 0, 2), ctx.table))
@@ -692,66 +691,90 @@ def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
             monkeypatch.undo()
 
 
-def test_subsample_mean_blocks_match_one_matrix(monkeypatch):
-    # step splits the homogeneous shortcut's subsample mean into one CSR
-    # row block per worker, or keeps one block below the sharing
-    # threshold; with N = 37 rows on 1, 2, 3 and 5 workers (blocks of
-    # uneven size), the threshold at 0 and at its value, for the
-    # alignment alone and with the Morse node path, the rate of the blocks
-    # equals that of one _subsample_mean_matrix(sub, n) bit for bit, and
-    # so does the step; a short switch interval interleaves the workers
+def test_subsample_mean_matches_the_csr_product(monkeypatch):
+    # the homogeneous shortcut's subsample mean, gathered and summed in
+    # row chunks on the workers, equals scipy's CSR product with data
+    # 1/S, which computed it before, bit for bit, and so does the rate
+    # built on it: in each sampler regime (rejection, int64; sorted
+    # redraw, int32; shuffled, int64), on 1, 2, 3 and 5 workers, with the
+    # whole chunk budget and with chunks of 3 rows, which leave the last
+    # of N = 37 rows alone, with the chunks shared and on the calling
+    # thread, for the alignment alone, with the Morse node path, and for
+    # a mean of one column (d = m = 1), which numpy would sum pairwise in
+    # a chunk of one row; a step on any worker count equals one on a
+    # single worker; a short switch interval interleaves the workers
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        _check_subsample_mean_blocks(monkeypatch)
+        _check_subsample_mean(monkeypatch)
     finally:
         sys.setswitchinterval(interval)
 
 
-def _check_subsample_mean_blocks(monkeypatch):
-    n, s, d = 37, 6, 2
+def _csr_mean(flat, sub):
+    """Each row's mean over its partners ``sub`` as scipy's CSR
+    matrix-vector product with data 1/S."""
+    n, s = sub.shape
+    indptr = np.arange(0, n * s + 1, s)
+    return sparse.csr_matrix((np.full(n * s, 1.0 / s), sub.ravel(), indptr), shape=(n, n)) @ flat
+
+
+def _csr_rate(x_hat, v_hat, sub, spec):
+    """The homogeneous modal rate with the subsample mean of ``_csr_mean``,
+    plus the Morse node path's rate."""
+    n, d, m = v_hat.shape
+    flat = v_hat.reshape(n, d * m)
+    rate = ((_csr_mean(flat, sub) - flat).reshape(n * d, m) @ _Context(spec).e_const.T).reshape(n, d, m)
+    if spec.morse is not None:
+        rate = rate + _velocity_rate_full(x_hat, v_hat, sub, _Context(replace(spec, alignment=None)))
+    return rate
+
+
+def _check_subsample_mean(monkeypatch):
+    n = 37
     rng = np.random.default_rng(29)
-    ic = InitialCondition.annulus_rotating_2d()
     homogeneous = _cs_spec(order=3, K="1+0.5*theta", gamma="0.0")
-    homogeneous_mill = replace(homogeneous, morse=_mill_spec().morse)
-    for spec in (homogeneous, homogeneous_mill):
+    one_column = replace(homogeneous, basis=build_basis(PolynomialFamily.LEGENDRE, 0, 1))
+    cases = [(spec, d) for spec, d in ((homogeneous, 2), (replace(homogeneous, morse=_mill_spec().morse), 2),
+                                       (one_column, 1))]
+    for (spec, d), (s, dtype) in itertools.product(cases, ((3, np.int64), (6, np.int32), (20, np.int64))):
         m = spec.basis.n_modes
         x_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
-        v_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
+        v_hat = rng.normal(size=(n, d, m)) * 10.0 ** rng.integers(-4, 5, size=(n, d, m))
         sub = draw_subsamples(rng, n, s)
+        assert sub.dtype == dtype, s
+        # a column of -0.0 but for one particle r that is not its own
+        # partner: r's partners' mean is -0.0 unless the sum starts from
+        # 0.0, and keeps that sign less r's own +0.0
+        r = np.flatnonzero((sub != np.arange(n)[:, None]).all(axis=1))[0]
+        v_hat[:, 0, 0], v_hat[r, 0, 0] = -0.0, 0.0
         flat = v_hat.reshape(n, d * m)
-        mean = _subsample_mean_matrix(sub, n) @ flat
-        want = ((mean - flat).reshape(n * d, m) @ _Context(spec).e_const.T).reshape(n, d, m)
-        if spec.morse is not None:
-            want = want + _velocity_rate_full(x_hat, v_hat, sub, None,
-                                              _Context(replace(spec, alignment=None)))
-        ens = sample_initial(ic, n, 6, m)
+        mean = _csr_mean(flat, sub)
+        want = _csr_rate(x_hat, v_hat, sub, spec)
+        ens = GpcEnsemble(x_hat, v_hat)
         cfg = SolverConfig(n_particles=n, dt=0.01, t_end=1.0, subsample_size=s, seed=0, model=spec)
         whole = step(ens, cfg, np.random.default_rng(2))
-        for threads, product_min in itertools.product((1, 2, 3, 5), (0, solver._SHARED_PRODUCT_MIN)):
+        for threads, budget, product_min in itertools.product(
+                (1, 2, 3, 5), (solver._CHUNK_BUDGET, 3 * s * max(d * m, 2)), (0, solver._SHARED_PRODUCT_MIN)):
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", budget)
             monkeypatch.setattr(solver, "_SHARED_PRODUCT_MIN", product_min)
-            blocks = []
-
-            def record(rows, cols):
-                blocks.append(_subsample_mean_matrix(rows, cols))
-                return blocks[-1]
-
-            monkeypatch.setattr(solver, "_subsample_mean_matrix", record)
             ctx = _Context(spec, _Workers(threads))
             try:
+                mean_got = _partner_mean_less_own(flat, sub, ctx).copy()   # ctx rewrites it
+                got = _velocity_rate_full(x_hat, v_hat, sub, ctx)
                 stepped = step(ens, cfg, np.random.default_rng(2), ctx=ctx)
-                shared = threads if product_min == 0 else 1
-                assert [block.shape[0] for block in blocks] == [
-                    n * (k + 1) // shared - n * k // shared for k in range(shared)]
-                split = [_subsample_mean_matrix(sub[n * k // threads:n * (k + 1) // threads], n)
-                         for k in range(threads)]
-                got = _velocity_rate_full(x_hat, v_hat, sub, split, ctx)
+                rows, buffers = ctx.means[-2:]
             finally:
                 ctx.workers.close()
             monkeypatch.undo()
-            assert np.array_equal(got, want), (threads, product_min)
-            assert np.array_equal(stepped.x_hat, whole.x_hat), (threads, product_min)
-            assert np.array_equal(stepped.v_hat, whole.v_hat), (threads, product_min)
+            case = (s, d * m, threads, budget, product_min)
+            assert mean_got.tobytes() == (mean - flat).tobytes(), case
+            assert got.tobytes() == want.tobytes(), case
+            assert stepped.x_hat.tobytes() == whole.x_hat.tobytes(), case
+            assert stepped.v_hat.tobytes() == whole.v_hat.tobytes(), case
+            if budget < 1 << 17:
+                assert rows == 3 and n % rows == 1, case
+                assert len(buffers) == threads, case
 
 
 def test_workers_map_runs_task_0_on_the_calling_thread():
@@ -812,12 +835,12 @@ def _check_no_stale_workspace(monkeypatch, n, s, fit, ic):
         q = spec.basis.n_nodes
         for sub in (draw_subsamples(np.random.default_rng(4), n, s), None):
             partners = n if sub is None else s
-            want = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, _Context(spec))
+            want = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, _Context(spec))
             monkeypatch.setattr(solver, "_CHUNK_BUDGET", fit * partners * 2 * q)
             for threads, (rows, chunks) in _SMALL_CHUNKS.items():
                 ctx = _Context(spec, _Workers(threads))
                 try:
-                    _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
+                    _velocity_rate_full(ens.x_hat, ens.v_hat, sub, ctx)
                     ws = ctx.workspace(n, partners, 2)
                     assert ws.rows == rows and n % rows != 0
                     assert len(ws.chunks) == min(threads, chunks)
@@ -825,7 +848,7 @@ def _check_no_stale_workspace(monkeypatch, n, s, fit, ic):
                                if isinstance(value, np.ndarray)]
                     for buf in buffers:
                         buf.fill(True if buf.dtype == bool else np.nan)
-                    got = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, None, ctx)
+                    got = _velocity_rate_full(ens.x_hat, ens.v_hat, sub, ctx)
                 finally:
                     ctx.workers.close()
                 assert np.array_equal(got, want), threads
