@@ -1,13 +1,19 @@
 #!/bin/sh
-# Runs 10 steps each of combined_2d_desk (8 row chunks of 125 per stage
-# on one thread, and 8 shared by two workers, 4 each) and of
-# mill_2d_desk, whose Morse-only branch has 4 row chunks of 500 per stage
-# on one thread and on two workers, 5 steps of the homogeneous preset
-# with S = 100, whose subsample mean two workers share as 46 row chunks
-# of 218 rows (the last one of 190), and whose subsample table they
-# draw as 8 row blocks of the sorted redraw, and 2 steps of cs_1d (N = 10^5, S = 5), whose table is
-# 4 collision-light row blocks, once on 1 thread and once on 2, and
-# fails unless both runs write the same CSV artifacts (stats.csv,
+# Runs each of these once on 1 thread and once on 2:
+# - 10 steps of combined_2d_desk: 8 row chunks of 125 per stage on one
+#   thread, and 8 shared by two workers, 4 each;
+# - 10 steps of mill_2d_desk, the Morse-only branch of the node path: 4
+#   row chunks of 500 per stage on one thread and on two workers;
+# - 10 steps of cs_2d_desk, the branch of two-dimensional alignment
+#   without Morse: 2 row chunks of 500 per stage, one for each of two
+#   workers;
+# - 5 steps of the homogeneous preset with S = 100, whose subsample mean
+#   two workers share as 46 row chunks of 218 rows (the last one of 190),
+#   and whose subsample table they draw as 8 row blocks of the sorted
+#   redraw;
+# - 2 steps of cs_1d (N = 10^5, S = 5), whose table is 4 collision-light
+#   row blocks.
+# It fails unless both runs write the same CSV artifacts (stats.csv,
 # ensemble_final.csv, every density_*.csv and, in 2D,
 # velocity_field.csv) and each matches byte for byte, and unless their
 # manifest.txt files match once the threads= and out_dir= lines, which
@@ -19,7 +25,7 @@
 set -eu
 out="${1:-${RUNNER_TEMP:-$(mktemp -d)}}"
 # name:t_end, or name:t_end:S to also replace the preset's subsample size
-for p in combined_2d_desk:0.1 mill_2d_desk:0.2 homogeneous:0.05:100 cs_1d:0.02; do
+for p in combined_2d_desk:0.1 mill_2d_desk:0.2 cs_2d_desk:0.1 homogeneous:0.05:100 cs_1d:0.02; do
   name="${p%%:*}"
   rest="${p#*:}"
   case "$rest" in

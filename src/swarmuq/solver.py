@@ -22,11 +22,14 @@ Memory: the workspace of a run's ``_Context`` holds every array of the
 node path, reused by all stages of all steps.  Arrays with a dimension
 axis are stored dimension-first, so the reconstruction and the
 projection are one BLAS product per dimension and the distance and
-contraction passes read contiguous (R, P, Q) slices of a chunk of R
-rows with P partners each.  The projection runs once per stage, after
-the last chunk, because BLAS rounds a row of a product differently with
-the number of rows around it, and the result must not depend on the
-chunk size.  The homogeneous shortcut's subsample mean keeps its own
+contraction passes read contiguous (P, R, Q) slices of a chunk of R
+rows with P partners each: partner-outer, so that the difference pass
+broadcasts a particle's node values along the outer axis and runs
+contiguous inner loops of R * Q elements, where a row-outer layout
+runs loops of Q.  The projection runs once per stage, after the last
+chunk, because BLAS rounds a row of a product differently with the
+number of rows around it, and the result must not depend on the chunk
+size.  The homogeneous shortcut's subsample mean keeps its own
 per-worker partner buffers, cut by the same chunk rule, and its scaled
 modes and result in the context too.  Still allocated per step are the
 subsample table and the weighted sums of the rates that
@@ -54,13 +57,15 @@ buffer (see ``_Workspace``), so on the shipped presets every worker
 takes as many chunks as the others for W = 1, 2 and 4.  The buffers of
 W workers take up to W times the memory of one worker's, and those of
 one worker are never larger than the largest chunk that fits.  While
-the pool runs, numpy's bundled OpenBLAS is held at one thread: after a
-threaded product its idle threads spin-wait, and on two cores a stage
-then ran at 0.8x the serial speed.
+any run goes, on any number of workers, numpy's bundled OpenBLAS is
+held at one thread (``_BLAS_HOLD``): after a threaded product its idle
+threads spin-wait, and on two cores a stage then ran at 0.8x the serial
+speed.
 """
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -78,8 +83,8 @@ from .models import (
 )
 from .timegrid import check_grid, euler, march, rk4
 
-# Elements of one worker's (d, R, P, Q) partner buffer: 1 MiB of float64,
-# so that the buffer and the (R, P, Q) arrays of its row chunk fit
+# Elements of one worker's (d, P, R, Q) partner buffer: 1 MiB of float64,
+# so that the buffer and the (P, R, Q) arrays of its row chunk fit
 # together in one core's 2 MiB share of L2.  Every worker has a whole
 # budget: with a W-th of it, 2 workers cut combined_2d_desk into chunks of
 # 65 rows and ran a stage only 1.2-1.4x faster than one, their numpy calls
@@ -187,19 +192,55 @@ def _openblas():
     return None
 
 
+class _BlasHold:
+    """A context that holds OpenBLAS at one thread while any holder is
+    inside it.  The thread count is a setting of the whole process, so
+    there is one hold (``_BLAS_HOLD``): the first holder in saves the
+    count and sets it to one, and the last one out restores it, so runs
+    on concurrent threads never give the count back while another run
+    still holds it.  Idle OpenBLAS threads spin-wait after a threaded
+    product: on 2 cores, two one-worker runs of combined_2d_desk (30
+    steps) side by side took 4.0-4.9 s with the default count and
+    1.8-1.9 s at one thread, and one such run alone used twice its wall
+    time in CPU time."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                blas = _openblas()
+                if blas is not None:
+                    get_threads, set_threads = blas
+                    threads = get_threads()
+                    set_threads(1)
+                    self._restore = lambda: set_threads(threads)
+            self._holders += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+_BLAS_HOLD = _BlasHold()
+
+
 class _Workers:
     """The worker threads of one run: the calling thread is worker 0, and
     a pool holds the other ``count - 1``.  The pool starts when a step
     first shares work among more than one worker (the subsample draw's
     row blocks, row chunks, the per-dimension products or the subsample
-    mean's row chunks), and OpenBLAS is held at one thread from then
-    until ``close``: after a threaded matmul its idle threads spin-wait
-    and take a core from the workers."""
+    mean's row chunks) and ends at ``close``."""
 
     def __init__(self, count: int):
         self.count = count
         self._pool = None
-        self._restore_blas = None
 
     def map(self, fn, tasks: int) -> None:
         """fn(k) for k in range(tasks), tasks <= count: fn(0) on the
@@ -210,12 +251,6 @@ class _Workers:
             fn(0)
             return
         if self._pool is None:
-            blas = _openblas()
-            if blas is not None:
-                get_threads, set_threads = blas
-                threads = get_threads()
-                set_threads(1)
-                self._restore_blas = lambda: set_threads(threads)
             self._pool = ThreadPoolExecutor(self.count - 1, thread_name_prefix="swarmuq-rows")
         futures = [self._pool.submit(fn, k) for k in range(1, tasks)]
         try:
@@ -242,15 +277,10 @@ class _Workers:
         self.map(worker, tasks)
 
     def close(self) -> None:
-        """Join the pool and give OpenBLAS back its thread count."""
-        try:
-            if self._pool is not None:
-                self._pool.shutdown()
-        finally:
+        """Join the pool."""
+        if self._pool is not None:
+            self._pool.shutdown()
             self._pool = None
-            if self._restore_blas is not None:
-                self._restore_blas()
-                self._restore_blas = None
 
 
 class _Context:
@@ -307,7 +337,7 @@ class _Workspace:
     has a chunk.  Nothing is allocated per stage but the modal rate.
 
     Chunks have ``rows`` rows, the last one possibly fewer, by
-    ``_row_chunks`` for a (d, P, Q) partner buffer row."""
+    ``_row_chunks`` for the d * P * Q partner-buffer elements of a row."""
 
     def __init__(self, n: int, partners: int, d: int, q: int, workers: int):
         self.shape = (n, partners, d)
@@ -320,18 +350,17 @@ class _Workspace:
 
 class _ChunkBuffers:
     """One worker's buffers for a row chunk of R particles with P
-    partners each.  Unused buffers cost no resident memory, since pages
-    are mapped on first write.  A chunk reads the (d, R, ...) buffers
-    through ``_rows_of`` and the (R, ...) ones through buf[:rows], also a
-    prefix."""
+    partners each, partner-outer: each holds its rows on axis -2, and a
+    chunk of fewer rows reads them through ``_rows_of``.  Unused buffers
+    cost no resident memory, since pages are mapped on first write."""
 
     def __init__(self, rows: int, partners: int, d: int, q: int):
-        self.pairs = np.empty((d, rows, partners, q))   # x_j - x_i, then v_j - v_i
-        self.r_sq = np.empty((rows, partners, q))       # also the Morse repulsion term
-        self.r = np.empty((rows, partners, q))
-        self.kernel = np.empty((rows, partners, q))     # alignment h
-        self.coef = np.empty((rows, partners, q))       # Morse slope / r
-        self.mask = np.empty((rows, partners, q), dtype=bool)  # not r > 0
+        self.pairs = np.empty((d, partners, rows, q))   # x_j - x_i, then v_j - v_i
+        self.r_sq = np.empty((partners, rows, q))       # also the Morse repulsion term
+        self.r = np.empty((partners, rows, q))
+        self.kernel = np.empty((partners, rows, q))     # alignment h
+        self.coef = np.empty((partners, rows, q))       # Morse slope / r
+        self.mask = np.empty((partners, rows, q), dtype=bool)  # not r > 0
         self.term = np.empty((d, rows, q))              # Morse force, then propulsion
         self.speed_sq = np.empty((rows, q))
 
@@ -350,11 +379,12 @@ def _row_chunks(n: int, row_size: int, workers: int, buffers) -> tuple[int, list
 
 
 def _rows_of(buf, rows):
-    """The first ``rows`` rows of a dimension-first (d, R, ...) workspace
-    buffer as a contiguous array: a prefix of its flat memory.  For a
-    partial chunk the strided buf[:, :rows] is not contiguous: np.take
-    would gather into a temporary and copy it back."""
-    shape = (buf.shape[0], rows) + buf.shape[2:]
+    """A chunk buffer, which holds its rows on axis -2, cut to ``rows``
+    rows as a C-contiguous view of the prefix of its flat memory.  For a
+    partial chunk a strided slice such as buf[..., :rows, :] is not
+    contiguous: np.take would gather into a temporary and copy it back,
+    and the passes would run shorter inner loops."""
+    shape = buf.shape[:-2] + (rows, buf.shape[-1])
     return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
@@ -411,13 +441,20 @@ def _rejection_rows(rng: np.random.Generator, n: int, s: int, rows: int) -> np.n
     """(rows, s) int64 rows of distinct indices in 0..n-1, for s(s-1) <=
     n//4: draw whole rows with replacement and redraw every row that
     repeats an index.  An accepted row is an i.i.d. uniform draw
-    conditioned on being distinct, so its set is uniform."""
+    conditioned on being distinct, so its set is uniform.
+
+    A row that passes a round keeps its indices and passes every later
+    one, so each round after the first sorts and tests only the rows it
+    redrew.  The rows redrawn, and so the draws and their order, are
+    those of re-testing every row each round."""
     idx = rng.integers(0, n, size=(rows, s))
+    check, block = np.arange(rows), idx     # block: the rows of idx being tested
     while True:
-        bad = (np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)
+        bad = (np.diff(np.sort(block, axis=1), axis=1) == 0).any(axis=1)
         if not bad.any():
             return idx
-        idx[bad] = rng.integers(0, n, size=(int(bad.sum()), s))
+        check = check[bad]
+        idx[check] = block = rng.integers(0, n, size=(check.size, s))
 
 
 def _sorted_redraw(rng: np.random.Generator, n: int, s: int, rows: int) -> np.ndarray:
@@ -495,10 +532,10 @@ def _partner_mean_less_own(flat: np.ndarray, sub: np.ndarray, ctx: _Context) -> 
 
 
 def _contract(w, pairs, out):
-    """out[k, r, q] = sum over s of w[r, s, q] * pairs[k, r, s, q], one
-    einsum per dimension k over contiguous (R, P, Q) slices."""
+    """out[k, r, q] = sum over s of w[s, r, q] * pairs[k, s, r, q], one
+    einsum per dimension k over contiguous (P, R, Q) slices."""
     for k in range(pairs.shape[0]):
-        np.einsum("rsq,rsq->rq", w, pairs[k], out=out[k])
+        np.einsum("srq,srq->rq", w, pairs[k], out=out[k])
     return out
 
 
@@ -516,26 +553,26 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws, node_rate) -> np.nd
     pairs, rate, term = _rows_of(ws.pairs, rows), node_rate[:, lo:hi], _rows_of(ws.term, rows)
     denom = x_nodes.shape[1] if sub is None else sub.shape[1]
 
-    def partner_differences(nodes):   # pairs[k, r, s] = nodes[k, partner s of lo + r] - nodes[k, lo + r]
+    def partner_differences(nodes):   # pairs[k, s, r] = nodes[k, partner s of lo + r] - nodes[k, lo + r]
         # indices come from draw_subsamples; "clip" avoids the buffered copy of "raise"
-        nodes_j = nodes[:, None] if sub is None else np.take(nodes, sub[lo:hi], axis=1, out=pairs, mode="clip")
-        return np.subtract(nodes_j, nodes[:, lo:hi, None], out=pairs)   # (d, R, S|N, Q)
+        nodes_j = nodes[:, :, None] if sub is None else np.take(nodes, sub[lo:hi].T, axis=1, out=pairs, mode="clip")
+        return np.subtract(nodes_j, nodes[:, None, lo:hi], out=pairs)   # (d, S|N, R, Q)
 
     partner_differences(x_nodes)   # x_j - x_i, kept until the Morse force has read it
-    r_sq = np.einsum("drsq,drsq->rsq", pairs, pairs, out=ws.r_sq[:rows])  # (R, S|N, Q)
+    r_sq = np.einsum("dsrq,dsrq->srq", pairs, pairs, out=_rows_of(ws.r_sq, rows))  # (S|N, R, Q)
     aligning = model.alignment is not None and not ctx.homogeneous
     if aligning:
-        h = alignment_kernel(ctx.k_nodes, ctx.g_nodes, r_sq, out=ws.kernel[:rows])
+        h = alignment_kernel(ctx.k_nodes, ctx.g_nodes, r_sq, out=_rows_of(ws.kernel, rows))
     if morse is not None:
-        dist = np.sqrt(r_sq, out=ws.r[:rows])
+        dist = np.sqrt(r_sq, out=_rows_of(ws.r, rows))
         slope = morse_radial_slope(ctx.ca_nodes, ctx.cr_nodes, morse.ell_A, morse.ell_R, dist,
-                                   out=ws.coef[:rows], work=r_sq)
+                                   out=_rows_of(ws.coef, rows), work=r_sq)
         # self pairs (and coincident particles) have r == 0 exactly and
         # contribute no force, matching the pair sum that skips j == i;
         # a NaN distance also gives zero, as np.where(r > 0, ...) does
         with np.errstate(invalid="ignore", divide="ignore"):
             coef = np.divide(slope, dist, out=slope)
-        mask = ws.mask[:rows]
+        mask = _rows_of(ws.mask, rows)
         np.copyto(coef, 0.0, where=np.logical_not(np.greater(dist, 0.0, out=mask), out=mask))
         # -sum coef * (x_i - x_j) / denom is sum coef * (x_j - x_i) / denom
         # bit for bit, since IEEE negation commutes with rounding
@@ -547,7 +584,7 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws, node_rate) -> np.nd
             np.add(rate, force, out=rate)
     if morse is not None:
         vr = v_nodes[:, lo:hi]
-        propulsion = np.einsum("drq,drq->rq", vr, vr, out=ws.speed_sq[:rows])
+        propulsion = np.einsum("drq,drq->rq", vr, vr, out=_rows_of(ws.speed_sq, rows))
         propulsion = np.subtract(morse.a, np.multiply(morse.b, propulsion, out=propulsion), out=propulsion)
         np.add(rate, np.multiply(propulsion, vr, out=term), out=rate)
     return rate
@@ -655,7 +692,8 @@ def run(
     is scheduled.  ``threads`` workers share the row blocks of the
     subsample draw, the row chunks and products of the node path and the
     row chunks of the homogeneous shortcut's subsample mean; the result is
-    bit-identical for every count.
+    bit-identical for every count.  OpenBLAS is held at one thread until
+    the run returns or raises (``_BLAS_HOLD``).
     """
     if threads < 1:
         raise ConfigurationError(f"need at least one worker thread, got {threads}")
@@ -669,9 +707,10 @@ def run(
     def observe(e):
         records.append((e.time, [obs(e) for obs in observers]))
 
-    try:
-        ens = march(lambda: sample_initial(ic, cfg.n_particles, cfg.seed, cfg.model.basis.n_modes),
-                    advance, cfg.t_end, cfg.dt, observe, observer_stride)
-    finally:
-        workers.close()
+    with _BLAS_HOLD:
+        try:
+            ens = march(lambda: sample_initial(ic, cfg.n_particles, cfg.seed, cfg.model.basis.n_modes),
+                        advance, cfg.t_end, cfg.dt, observe, observer_stride)
+        finally:
+            workers.close()
     return records, ens

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from swarmuq.solver import (
     _forces_for_rows,
     _openblas,
     _partner_mean_less_own,
+    _rows_of,
     _sorted_redraw,
     _velocity_rate_full,
     draw_subsamples,
@@ -522,13 +524,28 @@ def test_subsample_sets_uniform_over_all_subsets():
         assert stats.chi2.sf(chi2, counts.size - 1) > 0.01, name
 
 
+class _CountingRng:
+    """A generator that counts the ``integers`` calls made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 def test_collision_light_stream_is_unchanged():
     # the regime of the mill and combined presets keeps its random stream
     # up to its edge s(s-1) = n//4: with s = 10, n = 360 is the smallest
-    # collision-light size, and n = 359 takes the sorted redraw
-    for n in (2000, 360):
+    # collision-light size, and n = 359 takes the sorted redraw.  The
+    # reference redraws at least twice at n = 360, so a round that
+    # re-tests only the rows redrawn in the one before is covered
+    for n, rounds in ((2000, 1), (360, 2)):
         sub = draw_subsamples(np.random.default_rng(7), n, 10)
-        ref = rejection_subsamples(np.random.default_rng(7), n, 10)
+        counted = _CountingRng(np.random.default_rng(7))
+        ref = rejection_subsamples(counted, n, 10)
+        assert counted.calls - 1 >= rounds, n
         assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
     middle = draw_subsamples(np.random.default_rng(7), 359, 10)
     assert middle.dtype == np.int32 and (np.diff(middle, axis=1) > 0).all()
@@ -597,8 +614,8 @@ def test_forces_for_rows_match_allocating_reference():
 
 def test_node_path_makes_no_pair_sized_temporary():
     # a warm stage of the node path allocates its (N, d, m) modal rate and
-    # small iterator buffers, but no temporary of pair size: one (R, P, Q)
-    # array of the workspace is about 0.5 MiB and one (d, R, P, Q) array
+    # small iterator buffers, but no temporary of pair size: one (P, R, Q)
+    # array of the workspace is about 0.5 MiB and one (d, P, R, Q) array
     # 1 MiB, for the desk presets' subsamples and for all-to-all
     for name in ("mill_2d_desk", "combined_2d_desk"):
         ic, cfg = build_experiment(load_config(name))
@@ -855,10 +872,29 @@ def _check_no_stale_workspace(monkeypatch, n, s, fit, ic):
             monkeypatch.undo()
 
 
+def test_rows_of_is_a_contiguous_prefix_of_every_chunk_buffer():
+    # a partial chunk reads every buffer of _ChunkBuffers, and the
+    # subsample mean's, through _rows_of: a C-contiguous view with the
+    # chunk's rows on axis -2 that starts at the buffer's first element
+    rng = np.random.default_rng(4)
+    n, s, d = 11, 3, 2
+    ctx = _Context(_cs_spec())
+    _partner_mean_less_own(rng.normal(size=(n, 6)), draw_subsamples(rng, n, s), ctx)
+    chunk = ctx.workspace(n, s, d).chunks[0]
+    buffers = dict(vars(chunk), mean=ctx.means[4][0])
+    assert sorted(buffers) == ["coef", "kernel", "mask", "mean", "pairs", "r", "r_sq", "speed_sq", "term"]
+    for name, buf in buffers.items():
+        for rows in (1, buf.shape[-2] - 1):
+            view = _rows_of(buf, rows)
+            assert view.shape == buf.shape[:-2] + (rows, buf.shape[-1]), name
+            assert view.flags.c_contiguous and np.shares_memory(view, buf), name
+            assert view.ctypes.data == buf.ctypes.data, name
+
+
 def test_row_chunks_fit_in_l2_for_every_preset():
-    # the partner buffer, the node path's only (d, R, P, Q) array, holds
+    # the partner buffer, the node path's only (d, P, R, Q) array, holds
     # at most 1 MiB on each worker for every shipped preset, so that it
-    # and the chunk's (R, P, Q) arrays share one core's 2 MiB of L2; a
+    # and the chunk's (P, R, Q) arrays share one core's 2 MiB of L2; a
     # single row larger than that is a chunk of its own.  Each worker's
     # share of ceil(N/W) rows is cut into the fewest equal chunks that
     # fit, so on 1, 2 and 4 workers every worker takes the same number
@@ -878,7 +914,7 @@ def test_row_chunks_fit_in_l2_for_every_preset():
             if threads == 1:
                 assert ws.rows <= min(n, fit), name
             for chunk in ws.chunks:
-                assert chunk.pairs.shape == (ic.dim, ws.rows, s, q), name
+                assert chunk.pairs.shape == (ic.dim, s, ws.rows, q), name
                 assert [key for key, value in vars(chunk).items() if np.ndim(value) == 4] == ["pairs"], name
             assert [key for key, value in vars(ws).items() if np.ndim(value) == 4] == [], name
             assert ws.chunks[0].pairs.nbytes <= 1 << 20 or ws.rows == 1, name
@@ -900,10 +936,10 @@ def test_runs_of_different_models_share_no_buffers():
 
 
 def test_openblas_thread_count_restored_after_run(monkeypatch):
-    # a threaded run holds OpenBLAS at one thread while its pool exists,
-    # seen from the observers between steps, and gives back the earlier
-    # count when it returns and when it raises; the budget gives the runs
-    # 8 and 2 row chunks on 2 workers
+    # a threaded run holds OpenBLAS at one thread from its start, seen
+    # from the observers on the initial state and between steps, and
+    # gives back the earlier count when it returns and when it raises;
+    # the budget gives the runs 8 and 2 row chunks on 2 workers
     monkeypatch.setattr(solver, "_CHUNK_BUDGET", 400)
     blas = _openblas()
     if blas is None:
@@ -913,7 +949,7 @@ def test_openblas_thread_count_restored_after_run(monkeypatch):
     ic = InitialCondition.annulus_rotating_2d()
     cfg = SolverConfig(n_particles=40, dt=0.01, t_end=0.03, subsample_size=5, seed=2, model=_mill_spec())
     records, _ = run(ic, cfg, observers=[lambda e: get_threads()], threads=2)
-    assert [threads for _, (threads,) in records] == [before, 1, 1, 1]
+    assert [threads for _, (threads,) in records] == [1, 1, 1, 1]
     assert get_threads() == before
     morse = MorseSwarmParams(a=10.0, b=0.001, C_A=3000.0, C_R=1.0, ell_A=100.0, ell_R=0.01)
     blowup = SolverConfig(n_particles=20, dt=1e6, t_end=2e6, subsample_size=20, seed=0,
@@ -921,5 +957,79 @@ def test_openblas_thread_count_restored_after_run(monkeypatch):
     seen = []
     with pytest.raises(IntegrationBlowupError):
         run(ic, blowup, observers=[lambda e: seen.append(get_threads())], threads=2)
-    assert seen == [before, 1]
+    assert seen == [1, 1]
+    assert get_threads() == before
+
+
+def test_concurrent_runs_share_one_openblas_hold():
+    # two one-worker runs on a 2-thread pool, as `converge --threads 2`
+    # runs its sweep points: both are inside the hold at their first
+    # observation (a barrier), the long run's third observation waits
+    # until the short run has returned, and every observation of both
+    # sees one thread; the earlier count is back once both have ended
+    blas = _openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get_threads, _ = blas
+    before = get_threads()
+    ic = InitialCondition.annulus_rotating_2d()
+    short = SolverConfig(n_particles=40, dt=0.01, t_end=0.03, subsample_size=5, seed=2, model=_mill_spec())
+    long = replace(short, t_end=0.06)
+    started, short_done = threading.Barrier(2, timeout=60), threading.Event()
+
+    def observer(seen, wait_for=None):
+        def observe(e):
+            if not seen:
+                started.wait()
+            elif len(seen) == 2 and wait_for is not None:
+                assert wait_for.wait(60)
+            seen.append(get_threads())
+        return observe
+
+    def short_run(seen):
+        try:
+            run(ic, short, observers=[observer(seen)])
+        finally:
+            short_done.set()
+
+    short_seen, long_seen = [], []
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(short_run, short_seen),
+                   pool.submit(run, ic, long, observers=[observer(long_seen, short_done)])]
+        for future in futures:
+            future.result(timeout=120)
+    assert short_seen == [1] * 4 and long_seen == [1] * 7
+    assert get_threads() == before
+
+
+def test_openblas_hold_survives_many_concurrent_holders():
+    # 6 threads, more than the cores, enter and leave the hold 200 times
+    # each under a short switch interval: inside it OpenBLAS always runs
+    # one thread, and the earlier count is back once all have left.  A
+    # holder count updated without the lock loses updates, and the last
+    # one out then restores too early or saves 1 as the earlier count
+    blas = _openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get_threads, _ = blas
+    before = get_threads()
+    seen = []
+
+    def hold():
+        for _ in range(200):
+            with solver._BLAS_HOLD:
+                seen.append(get_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [1] * 1200
     assert get_threads() == before
