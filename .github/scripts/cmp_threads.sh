@@ -12,7 +12,11 @@
 #   and whose subsample table they draw as 8 row blocks of the sorted
 #   redraw;
 # - 2 steps of cs_1d (N = 10^5, S = 5), whose table is 4 collision-light
-#   row blocks.
+#   row blocks;
+# - 2 steps of mill_2d (N = 10^5, S = 10): a uint32 subsample table of 8
+#   collision-light row blocks, the Morse-only node rate held in the node
+#   velocities, and 275 row chunks of 364 per stage on one thread, 276
+#   of 363 on two workers, 138 each.
 # It fails unless both runs write the same CSV artifacts (stats.csv,
 # ensemble_final.csv, every density_*.csv and, in 2D,
 # velocity_field.csv) and each matches byte for byte, and unless their
@@ -25,7 +29,7 @@
 set -eu
 out="${1:-${RUNNER_TEMP:-$(mktemp -d)}}"
 # name:t_end, or name:t_end:S to also replace the preset's subsample size
-for p in combined_2d_desk:0.1 mill_2d_desk:0.2 cs_2d_desk:0.1 homogeneous:0.05:100 cs_1d:0.02; do
+for p in combined_2d_desk:0.1 mill_2d_desk:0.2 cs_2d_desk:0.1 homogeneous:0.05:100 cs_1d:0.02 mill_2d:0.02; do
   name="${p%%:*}"
   rest="${p#*:}"
   case "$rest" in

@@ -29,11 +29,16 @@ contiguous inner loops of R * Q elements, where a row-outer layout
 runs loops of Q.  The projection runs once per stage, after the last
 chunk, because BLAS rounds a row of a product differently with the
 number of rows around it, and the result must not depend on the chunk
-size.  The homogeneous shortcut's subsample mean keeps its own
-per-worker partner buffers, cut by the same chunk rule, and its scaled
-modes and result in the context too.  Still allocated per step are the
-subsample table and the weighted sums of the rates that
-``timegrid.rk4`` keeps; per stage, the stage state and the modal rate.
+size.  The node rate has a node array of its own only where a force
+of the node path reads partners' velocities, as alignment off the
+homogeneous shortcut does; with Morse alone a chunk writes its rate over
+its own rows of the node velocities, which no other chunk reads.  The
+homogeneous shortcut's subsample mean keeps its own per-worker partner
+buffers, cut by the same chunk rule, and its scaled modes and result in
+the context too.  Still allocated per step are the subsample table, of
+16-bit indices up to N = 65536 (see ``draw_subsamples``), and the stage
+states and weighted sums of the rates that ``timegrid.rk4`` keeps, at
+most 6 state-sized arrays at once; per stage, the modal rate.
 
 Threads: with W workers (``run(..., threads=W)``) the step's subsample
 draw and each phase of a stage (the homogeneous shortcut's subsample
@@ -298,6 +303,8 @@ class _Context:
         self.proj = np.ascontiguousarray(basis.projection_matrix())
         align = model.alignment
         self.homogeneous = align is not None and align.position_independent
+        # a node-path force reads partners' velocities
+        self.aligning = align is not None and not self.homogeneous
         if align is not None:
             self.k_nodes = np.atleast_1d(align.K(model.alignment_nodes))
             self.g_nodes = np.atleast_1d(align.gamma(model.alignment_nodes))
@@ -326,7 +333,7 @@ class _Context:
         """Buffers for N particles with ``partners`` partners each in d
         dimensions; rebuilt only when that shape changes."""
         if self._workspace is None or self._workspace.shape != (n, partners, d):
-            self._workspace = _Workspace(n, partners, d, self.table.shape[1], self.workers.count)
+            self._workspace = _Workspace(n, partners, d, self.table.shape[1], self.workers.count, self.aligning)
         return self._workspace
 
 
@@ -334,18 +341,20 @@ class _Workspace:
     """Every array the node path writes: the (d, N, Q) node values and
     node rate, shared by all workers, each of which writes only its own
     rows of the rate, and one set of row-chunk buffers per worker that
-    has a chunk.  Nothing is allocated per stage but the modal rate.
+    has a chunk.  Without ``aligning``, a force that reads partners'
+    velocities, the rate is ``v_nodes`` itself.  Nothing is allocated per
+    stage but the modal rate.
 
     Chunks have ``rows`` rows, the last one possibly fewer, by
     ``_row_chunks`` for the d * P * Q partner-buffer elements of a row."""
 
-    def __init__(self, n: int, partners: int, d: int, q: int, workers: int):
+    def __init__(self, n: int, partners: int, d: int, q: int, workers: int, aligning: bool):
         self.shape = (n, partners, d)
         self.rows, self.chunks = _row_chunks(n, partners * d * q, workers,
                                              lambda rows: _ChunkBuffers(rows, partners, d, q))
         self.x_nodes = np.empty((d, n, q))              # x_hat @ table, per dimension
         self.v_nodes = np.empty((d, n, q))
-        self.rate = np.empty((d, n, q))                 # projected once per stage
+        self.rate = np.empty((d, n, q)) if aligning else self.v_nodes   # projected once per stage
 
 
 class _ChunkBuffers:
@@ -396,12 +405,15 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int,
     Three regimes, picked from (n, s) for speed; every one gives each row
     a uniform s-subset, independently of the other rows:
 
-    - collision-light, s(s-1) <= n//4: ``_rejection_rows``, int64, in
-      draw order.
-    - middle, up to 10s = 3n: ``_sorted_redraw``, int32, each row sorted
-      ascending.  ``np.take`` accepts int32 indices.
-    - very dense, 10s > 3n: ``_shuffled_rows``, int64, in permutation
-      order.
+    - collision-light, s(s-1) <= n//4: ``_rejection_rows``, in draw order.
+    - middle, up to 10s = 3n: ``_sorted_redraw``, each row sorted
+      ascending.
+    - very dense, 10s > 3n: ``_shuffled_rows``, in permutation order.
+
+    The table holds its indices in the narrowest type that fits: uint16
+    for n <= 65536, else uint32.  Each block is cast as it is stored, so
+    the draws are those of the regime's own dtype; ``np.take`` converts
+    the indices of a chunk to intp as it gathers.
 
     The table is drawn in blocks of ``max(1, _DRAW_BLOCK // s)`` rows,
     which ``workers`` share out (on the calling thread without them).
@@ -420,14 +432,14 @@ def draw_subsamples(rng: np.random.Generator, n: int, s: int,
     # cross at s = 0.36n for n = 10^3 (14 ms a draw) and at s = 0.29n for
     # n = 10^4 (1.65 s), measured on a 2-core Xeon with numpy 2.4.
     if s * (s - 1) <= n // 4:
-        draw, dtype = _rejection_rows, np.int64
+        draw = _rejection_rows
     elif 10 * s <= 3 * n:
-        draw, dtype = _sorted_redraw, np.int32
+        draw = _sorted_redraw
     else:
-        draw, dtype = _shuffled_rows, np.int64
+        draw = _shuffled_rows
     rows = max(1, _DRAW_BLOCK // s)
     streams = [rng] + [np.random.Generator(rng.bit_generator.jumped(b)) for b in range(1, -(-n // rows))]
-    table = np.empty((n, s), dtype=dtype)
+    table = np.empty((n, s), dtype=np.uint16 if n <= 1 << 16 else np.uint32)
 
     def block(b, _):
         lo = b * rows
@@ -546,9 +558,11 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws, node_rate) -> np.nd
     ``x_nodes`` and ``v_nodes`` are the (d, N, Q) node values and ``sub``
     the (N, S) partner table, or None for all-to-all.  Every intermediate
     is written into the chunk buffers ``ws``; the result is the (d, R, Q)
-    view ``node_rate[:, lo:hi]``.
+    view ``node_rate[:, lo:hi]``.  Without alignment on the node path
+    ``node_rate`` may be ``v_nodes`` itself: the chunk reads no other
+    rows of it, and overwrites its own after the propulsion has read them.
     """
-    model, morse = ctx.model, ctx.model.morse
+    morse = ctx.model.morse
     rows = hi - lo
     pairs, rate, term = _rows_of(ws.pairs, rows), node_rate[:, lo:hi], _rows_of(ws.term, rows)
     denom = x_nodes.shape[1] if sub is None else sub.shape[1]
@@ -560,8 +574,7 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws, node_rate) -> np.nd
 
     partner_differences(x_nodes)   # x_j - x_i, kept until the Morse force has read it
     r_sq = np.einsum("dsrq,dsrq->srq", pairs, pairs, out=_rows_of(ws.r_sq, rows))  # (S|N, R, Q)
-    aligning = model.alignment is not None and not ctx.homogeneous
-    if aligning:
+    if ctx.aligning:
         h = alignment_kernel(ctx.k_nodes, ctx.g_nodes, r_sq, out=_rows_of(ws.kernel, rows))
     if morse is not None:
         dist = np.sqrt(r_sq, out=_rows_of(ws.r, rows))
@@ -576,17 +589,19 @@ def _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws, node_rate) -> np.nd
         np.copyto(coef, 0.0, where=np.logical_not(np.greater(dist, 0.0, out=mask), out=mask))
         # -sum coef * (x_i - x_j) / denom is sum coef * (x_j - x_i) / denom
         # bit for bit, since IEEE negation commutes with rounding
-        force = term if aligning else rate
-        np.divide(_contract(coef, pairs, force), denom, out=force)
-    if aligning:
+        np.divide(_contract(coef, pairs, term), denom, out=term)   # the Morse force
+    if ctx.aligning:
         np.divide(_contract(h, partner_differences(v_nodes), rate), denom, out=rate)  # v_j - v_i
         if morse is not None:
-            np.add(rate, force, out=rate)
+            np.add(rate, term, out=rate)
     if morse is not None:
         vr = v_nodes[:, lo:hi]
         propulsion = np.einsum("drq,drq->rq", vr, vr, out=_rows_of(ws.speed_sq, rows))
         propulsion = np.subtract(morse.a, np.multiply(morse.b, propulsion, out=propulsion), out=propulsion)
-        np.add(rate, np.multiply(propulsion, vr, out=term), out=rate)
+        # p * v goes to term once the force is in rate; without alignment
+        # it goes to rate, which may be vr itself, now that vr has been read
+        np.multiply(propulsion, vr, out=term if ctx.aligning else rate)
+        np.add(rate, term, out=rate)
     return rate
 
 

@@ -55,33 +55,47 @@ def march(initial, advance, t_end: float, dt: float, observe, stride: int):
     return state
 
 
+def _add_scaled(a: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+    """a + c * k as one new array, with no temporary beside it: the same
+    fl(a + fl(c * k)) as the expression, since IEEE products commute."""
+    out = np.multiply(k, c)
+    return np.add(a, out, out=out)
+
+
 def euler(rhs, y: tuple, h: float) -> tuple:
     """One explicit Euler step of y' = rhs(*y) for the tuple of arrays y."""
-    return tuple(a + h * k for a, k in zip(y, rhs(*y)))
+    return tuple(_add_scaled(a, h, k) for a, k in zip(y, rhs(*y)))
 
 
 def rk4(rhs, y: tuple, h: float) -> tuple:
     """One classical Runge-Kutta step of y' = rhs(*y) for the tuple of
-    arrays y; rhs returns one rate array per array of y.
+    arrays y; rhs returns one rate array per array of y, which may be an
+    array of y itself, as x' = v is.
 
-    k1 + 2 k2 + 2 k3 + k4 is summed stage by stage, in that order, and each
-    rate dropped after its last use, so that for y = (x, v) 5 state-sized
-    arrays are alive in stage 4, not 8.  The first sum allocates: a rate
-    may be an array of y itself, as x' = v is.
+    k1 + 2 k2 + 2 k3 + k4 is summed stage by stage, in that order.  Each
+    sum a + c k is one new array (``_add_scaled``), each stage's arrays
+    are dropped when its rhs returns and each rate after its last use,
+    so that for y = (x, v) at most 6 state-sized arrays of its own are
+    alive at once, while the third and fourth stages are formed, and 4
+    while rhs runs; the returned arrays are new.
     """
     k1 = rhs(*y)
-    k2 = rhs(*[a + 0.5 * h * k for a, k in zip(y, k1)])
-    total = [r1 + 2.0 * r2 for r1, r2 in zip(k1, k2)]
-    stage = [a + 0.5 * h * k for a, k in zip(y, k2)]
-    del k1, k2
+    stage = [_add_scaled(a, 0.5 * h, k) for a, k in zip(y, k1)]
+    k2 = rhs(*stage)
+    del stage
+    total = [_add_scaled(r1, 2.0, r2) for r1, r2 in zip(k1, k2)]
+    del k1
+    stage = [_add_scaled(a, 0.5 * h, k) for a, k in zip(y, k2)]
+    del k2
     k3 = rhs(*stage)
-    stage = [a + h * k for a, k in zip(y, k3)]
+    del stage
     for i in range(len(total)):
         total[i] += 2.0 * k3[i]
+    stage = [_add_scaled(a, h, k) for a, k in zip(y, k3)]
     del k3
     k4 = rhs(*stage)
     del stage
     for i in range(len(total)):
         total[i] += k4[i]
     del k4
-    return tuple(a + (h / 6.0) * acc for a, acc in zip(y, total))
+    return tuple(_add_scaled(a, h / 6.0, acc) for a, acc in zip(y, total))

@@ -83,11 +83,12 @@ def forces_for_rows(rows, x_nodes, v_nodes, sub, ctx):
     return rate_nodes
 
 
-def rejection_subsamples(rng, n, s):
-    """Rows of s distinct indices in 0..n-1: draw every row with
-    replacement and redraw the rows that repeat an index.  This is the
-    solver's collision-light sampler, kept here to pin its random stream."""
-    idx = rng.integers(0, n, size=(n, s))
+def rejection_subsamples(rng, n, s, rows=None):
+    """``rows`` (default n) rows of s distinct indices in 0..n-1: draw
+    every row with replacement and redraw the rows that repeat an index.
+    This is the solver's collision-light sampler, kept here to pin its
+    random stream."""
+    idx = rng.integers(0, n, size=(n if rows is None else rows, s))
     while True:
         bad = np.array([len(set(row)) < s for row in idx.tolist()], dtype=bool)
         if not bad.any():

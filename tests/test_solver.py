@@ -540,23 +540,35 @@ def test_collision_light_stream_is_unchanged():
     # up to its edge s(s-1) = n//4: with s = 10, n = 360 is the smallest
     # collision-light size, and n = 359 takes the sorted redraw.  The
     # reference redraws at least twice at n = 360, so a round that
-    # re-tests only the rows redrawn in the one before is covered
+    # re-tests only the rows redrawn in the one before is covered.  The
+    # table stores the reference's int64 values as uint16 up to n = 2^16,
+    # and as uint32 above: n = 70000, s = 3 is two row blocks, the second
+    # drawn from the first jump of the stream
     for n, rounds in ((2000, 1), (360, 2)):
         sub = draw_subsamples(np.random.default_rng(7), n, 10)
         counted = _CountingRng(np.random.default_rng(7))
         ref = rejection_subsamples(counted, n, 10)
         assert counted.calls - 1 >= rounds, n
-        assert sub.dtype == ref.dtype and np.array_equal(sub, ref)
+        assert ref.dtype == np.int64 and sub.dtype == np.uint16 and np.array_equal(sub, ref)
     middle = draw_subsamples(np.random.default_rng(7), 359, 10)
-    assert middle.dtype == np.int32 and (np.diff(middle, axis=1) > 0).all()
+    assert middle.dtype == np.uint16 and (np.diff(middle, axis=1) > 0).all()
+    n, s = 70000, 3
+    rows = solver._DRAW_BLOCK // s
+    assert rows < n <= 2 * rows
+    sub = draw_subsamples(np.random.default_rng(7), n, s)
+    jumped = np.random.Generator(np.random.default_rng(7).bit_generator.jumped(1))
+    ref = np.concatenate([rejection_subsamples(np.random.default_rng(7), n, s, rows),
+                          rejection_subsamples(jumped, n, s, n - rows)])
+    assert ref.dtype == np.int64 and sub.dtype == np.uint32 and np.array_equal(sub, ref)
+    assert ref.max() >= 1 << 16
 
 
 def test_draw_blocks_are_the_same_for_every_worker_count(monkeypatch):
     # tables of three row blocks, the last one short, in each regime:
     # block b is the regime's draw of its rows from the b-th jump of the
-    # step's stream (block 0 from the stream itself), whatever the number
-    # of workers sharing the blocks; a short switch interval interleaves
-    # the workers
+    # step's stream (block 0 from the stream itself), stored as uint16,
+    # whatever the number of workers sharing the blocks; a short switch
+    # interval interleaves the workers
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -572,7 +584,7 @@ def test_draw_blocks_are_the_same_for_every_worker_count(monkeypatch):
                     got = draw_subsamples(np.random.default_rng(3), n, s, workers)
                 finally:
                     workers.close()
-                assert got.dtype == want.dtype and np.array_equal(got, want), (n, s, threads)
+                assert got.dtype == np.uint16 and np.array_equal(got, want), (n, s, threads)
             assert (np.diff(np.sort(got, axis=1), axis=1) > 0).all(), "indices must be distinct"
             assert got.min() >= 0 and got.max() < n
             assert not np.array_equal(got[rows:2 * rows], got[:rows]), "blocks 0 and 1 share a stream"
@@ -580,12 +592,15 @@ def test_draw_blocks_are_the_same_for_every_worker_count(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_forces_for_rows_match_allocating_reference():
+def test_forces_for_rows_match_allocating_reference(monkeypatch):
     # the workspace path against the whole-array reference on random chaos
     # states, with particles 0 and 1 coincident (r = 0 at every node), for
     # a subsample table and for all-to-all (sub is None); the modal rate is
     # the reference's node rates of all rows through the per-dimension
-    # (N, Q) @ (Q, m) projection
+    # (N, Q) @ (Q, m) projection.  Morse alone writes each chunk's rate
+    # over its rows of v_nodes: on 1, 2 and 3 workers with chunks of 3 and
+    # 2 rows, no chunk may read another's overwritten rows, nor its own
+    # before the propulsion
     rng = np.random.default_rng(21)
     homogeneous_mill = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 3),
                                  alignment=CuckerSmaleParams(K="1+0.5*theta", gamma="0.0"),
@@ -606,10 +621,26 @@ def test_forces_for_rows_match_allocating_reference():
                 got = _forces_for_rows(lo, hi, x_nodes, v_nodes, sub, ctx, ws.chunks[0], ws.rate)
                 want = forces_for_rows(np.arange(lo, hi), x_nodes, v_nodes, sub, ctx)
                 assert np.array_equal(got, want)
-            if not ctx.homogeneous:
-                want = np.matmul(forces_for_rows(np.arange(n), x_nodes, v_nodes, sub, ctx), ctx.proj)
-                got = _velocity_rate_full(x_hat, v_hat, sub, ctx)
-                assert np.array_equal(got, want.transpose(1, 0, 2))
+            if ctx.homogeneous:
+                continue
+            want = np.matmul(forces_for_rows(np.arange(n), x_nodes, v_nodes, sub, ctx), ctx.proj)
+            want = want.transpose(1, 0, 2)
+            assert np.array_equal(_velocity_rate_full(x_hat, v_hat, sub, ctx), want)
+            if spec.alignment is not None:
+                continue
+            partners = n if sub is None else sub.shape[1]
+            monkeypatch.setattr(solver, "_CHUNK_BUDGET", 3 * partners * d * spec.basis.n_nodes)
+            monkeypatch.setattr(solver, "_SHARED_PRODUCT_MIN", 0)
+            for threads in (1, 2, 3):
+                shared = _Context(spec, _Workers(threads))
+                try:
+                    got = _velocity_rate_full(x_hat, v_hat, sub, shared)
+                    ws = shared.workspace(n, partners, d)
+                finally:
+                    shared.workers.close()
+                assert ws.rate is ws.v_nodes and ws.rows == {1: 3, 2: 3, 3: 2}[threads], threads
+                assert np.array_equal(got, want), threads
+            monkeypatch.undo()
 
 
 def test_node_path_makes_no_pair_sized_temporary():
@@ -634,6 +665,34 @@ def test_node_path_makes_no_pair_sized_temporary():
             finally:
                 tracemalloc.stop()
             assert peak < v_hat.nbytes + ws.chunks[0].r_sq.nbytes // 2, (name, n, peak)
+
+
+def test_step_holds_the_table_and_six_state_arrays():
+    # the memory model of one warm RK4 step, above its start: the step's
+    # subsample table and at most 6 arrays of the size of one (N, d, m)
+    # state array, which rk4 holds while it forms its third and fourth
+    # stages, plus numpy's ufunc buffer of getbufsize() doubles for the
+    # small temporaries.  While a stage's rate is computed rk4 holds 4,
+    # beside the modal rate and the projection's (N, m) products.  An rk4
+    # that forms c * k as a temporary before each sum holds 8 on the two
+    # desk presets and 7 on homogeneous, and fails.  The homogeneous
+    # preset keeps its N = 10^4: below about N = 5000 the temporaries of
+    # a draw's row block of 2^17 indices outgrow 6 of its (N, 1, 6) state
+    # arrays
+    for name, n, s in (("mill_2d_desk", 1000, 10), ("combined_2d_desk", 500, 5), ("homogeneous", 10000, 100)):
+        ic, cfg = build_experiment(load_config(name))
+        cfg = replace(cfg, n_particles=n, subsample_size=s)
+        ctx = _Context(cfg.model)
+        ens = step(sample_initial(ic, n, 1, cfg.model.basis.n_modes), cfg, np.random.default_rng(0), ctx=ctx)
+        table = draw_subsamples(np.random.default_rng(1), n, s).nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step(ens, cfg, np.random.default_rng(1), ctx=ctx)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= table + 6 * ens.x_hat.nbytes + 8 * np.getbufsize(), (name, peak / ens.x_hat.nbytes)
 
 
 # Row chunks of 11 particles under a budget of 3 rows per worker, by
@@ -676,7 +735,8 @@ def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
     # 7, ..., 7, 2) on 1, 2 and 3 workers they equal the stacked
     # (d, N, m) @ (m, Q) and (d, N, Q) @ (Q, m) products bit for bit, on
     # random chaos states; the homogeneous shortcut adds the projection
-    # to its modal alignment rate
+    # to its modal alignment rate.  With Morse alone on the node path the
+    # rate is held in v_nodes, which the projection reads
     n, s, fit = 37, 5, 10
     rng = np.random.default_rng(17)
     homogeneous_mill = ModelSpec(basis=build_basis(PolynomialFamily.LEGENDRE, 3),
@@ -698,7 +758,11 @@ def test_per_dimension_products_match_the_stacked_ones(monkeypatch):
                 ws = ctx.workspace(n, s, 2)
                 assert (ws.rows, len(ws.chunks)) == {1: (10, 1), 2: (10, 2), 3: (7, 3)}[threads]
                 assert np.array_equal(ws.x_nodes, np.matmul(x_hat.transpose(1, 0, 2), ctx.table))
-                assert np.array_equal(ws.v_nodes, np.matmul(v_hat.transpose(1, 0, 2), ctx.table))
+                if ctx.homogeneous:
+                    assert ws.rate is ws.v_nodes
+                else:
+                    assert ws.rate is not ws.v_nodes
+                    assert np.array_equal(ws.v_nodes, np.matmul(v_hat.transpose(1, 0, 2), ctx.table))
                 want = np.matmul(ws.rate, ctx.proj).transpose(1, 0, 2)
                 if ctx.homogeneous:
                     want = alignment_only + want
@@ -712,8 +776,8 @@ def test_subsample_mean_matches_the_csr_product(monkeypatch):
     # the homogeneous shortcut's subsample mean, gathered and summed in
     # row chunks on the workers, equals scipy's CSR product with data
     # 1/S, which computed it before, bit for bit, and so does the rate
-    # built on it: in each sampler regime (rejection, int64; sorted
-    # redraw, int32; shuffled, int64), on 1, 2, 3 and 5 workers, with the
+    # built on it: in each sampler regime (rejection, sorted redraw,
+    # shuffled; a uint16 table in each), on 1, 2, 3 and 5 workers, with the
     # whole chunk budget and with chunks of 3 rows, which leave the last
     # of N = 37 rows alone, with the chunks shared and on the calling
     # thread, for the alignment alone, with the Morse node path, and for
@@ -754,12 +818,12 @@ def _check_subsample_mean(monkeypatch):
     one_column = replace(homogeneous, basis=build_basis(PolynomialFamily.LEGENDRE, 0, 1))
     cases = [(spec, d) for spec, d in ((homogeneous, 2), (replace(homogeneous, morse=_mill_spec().morse), 2),
                                        (one_column, 1))]
-    for (spec, d), (s, dtype) in itertools.product(cases, ((3, np.int64), (6, np.int32), (20, np.int64))):
+    for (spec, d), s in itertools.product(cases, (3, 6, 20)):
         m = spec.basis.n_modes
         x_hat = rng.normal(size=(n, d, m)) * 0.5 ** np.arange(m)
         v_hat = rng.normal(size=(n, d, m)) * 10.0 ** rng.integers(-4, 5, size=(n, d, m))
         sub = draw_subsamples(rng, n, s)
-        assert sub.dtype == dtype, s
+        assert sub.dtype == np.uint16, s
         # a column of -0.0 but for one particle r that is not its own
         # partner: r's partners' mean is -0.0 unless the sum starts from
         # 0.0, and keeps that sign less r's own +0.0
