@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatchError,
     IntegrationBlowupError,
     QuadratureInsufficiencyError,
-    SchemeFailureError,
 )
 from .gpc import (
     Basis,
@@ -31,7 +30,6 @@ __all__ = [
     "DimensionMismatchError",
     "IntegrationBlowupError",
     "QuadratureInsufficiencyError",
-    "SchemeFailureError",
     "Basis",
     "PolynomialFamily",
     "build_basis",

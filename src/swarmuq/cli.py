@@ -3,7 +3,7 @@
 Commands:
     swarmuq run CONFIG       integrate a preset/experiment, emit artifacts
     swarmuq converge CONFIG --sweep AXIS=V1,V2,...   error table vs a reference
-    swarmuq oracle CONFIG    finite-difference reference for the homogeneous case
+    swarmuq oracle CONFIG    exact stochastic-Galerkin reference for the homogeneous case
 
 CONFIG is an INI-style file (key = value under [section] headers); see the
 shipped presets for the full schema.  Uncertain scalars are written as
@@ -38,11 +38,12 @@ from .diagnostics import (
     write_velocity_field_csv,
 )
 from .ensemble import BimodalVelocity1D, InitialCondition, save_snapshot
-from .errors import ConfigurationError, IntegrationBlowupError, SchemeFailureError
+from .errors import ConfigurationError, IntegrationBlowupError
 from .gpc import PolynomialFamily, build_basis, tensor_basis
 from .models import CuckerSmaleParams, MorseSwarmParams, UncertainScalar
-from .pde_oracle import VelocityGrid, bimodal_density, oracle_expected_temperature, sg_homogeneous_solve
+from .pde_oracle import ExactSg, VelocityGrid
 from .solver import ModelSpec, SolverConfig, run
+from .timegrid import march
 
 # Each experiment kind: its default initial condition and the [model] keys
 # it reads, with their defaults.  A default's type is the key's type: a
@@ -310,8 +311,12 @@ def _emit_densities(out_dir: Path, ens, cfg: ExperimentConfig) -> None:
         write_velocity_field_csv(counts, means, out_dir / "velocity_field.csv")
 
 
-def _configured(config_path, out: str | None = None, seed: int | None = None) -> ExperimentConfig:
-    """Load a config and apply the command-line overrides."""
+def _configured(config_path, out: str | None = None, seed: int | None = None,
+                threads: int | None = None) -> ExperimentConfig:
+    """Load a config and apply the command-line overrides; a worker count
+    below 1 is a configuration error."""
+    if threads is not None and threads < 1:
+        raise ConfigurationError(f"need at least one worker thread, got {threads}")
     cfg = load_config(config_path)
     if out is not None:
         cfg = dataclasses.replace(cfg, out_dir=out)
@@ -344,7 +349,7 @@ def _exit_code(command):
         except ConfigurationError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
-        except (IntegrationBlowupError, SchemeFailureError) as exc:
+        except IntegrationBlowupError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 3
 
@@ -364,7 +369,7 @@ def _run_threads(threads: int | None) -> int:
 @_exit_code
 def cmd_run(config_path, out: str | None = None, seed: int | None = None,
             threads: int | None = None) -> int:
-    cfg = _configured(config_path, out, seed)
+    cfg = _configured(config_path, out, seed, threads)
     ic, solver_cfg = build_experiment(cfg)
     basis = solver_cfg.model.basis
     threads = _run_threads(threads)
@@ -398,25 +403,23 @@ def _final_temperature(cfg: ExperimentConfig) -> float:
 
 
 def _oracle_problem(cfg: ExperimentConfig):
-    """Velocity grid, basis, initial density and strength K of the
-    finite-difference reference solve."""
+    """Output velocity grid and exact stochastic-Galerkin solution of the
+    homogeneous experiment ``cfg``."""
     grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
     ic, solver_cfg = build_experiment(cfg)
     # the velocity law of either 1D initial condition: two bumps at +-mu or +-vbar
-    f0 = bimodal_density(grid, ic.sigma_v_sq, ic.mu if isinstance(ic, BimodalVelocity1D) else ic.vbar)
-    return grid, solver_cfg.model.basis, f0, solver_cfg.model.alignment.K
+    centre = ic.mu if isinstance(ic, BimodalVelocity1D) else ic.vbar
+    return grid, ExactSg(solver_cfg.model.alignment.K, solver_cfg.model.basis, ic.sigma_v_sq, centre)
 
 
 def _oracle_temperature(cfg: ExperimentConfig) -> float:
-    grid, basis, f0, strength = _oracle_problem(cfg)
-    sol = sg_homogeneous_solve(f0, strength, basis, grid, t_end=cfg.t_end)
-    return oracle_expected_temperature(sol, basis)
+    return _oracle_problem(cfg)[1].temperature(cfg.t_end)
 
 
 @_exit_code
 def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | None = None,
                  threads: int | None = None) -> int:
-    cfg = _configured(config_path, out, seed)
+    cfg = _configured(config_path, out, seed, threads)
     axis, _, raw_values = sweep.partition("=")
     axis = axis.strip().upper()
     try:
@@ -459,26 +462,21 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
 
 @_exit_code
 def cmd_oracle(config_path, out: str | None = None) -> int:
-    cfg = _configured(config_path, out)  # the reference solve draws no random numbers
+    cfg = _configured(config_path, out)  # the exact solution draws no random numbers
     if cfg.kind != "homogeneous":
         raise ConfigurationError("the oracle command only applies to the homogeneous experiment")
-    grid, basis, f0, strength = _oracle_problem(cfg)
+    grid, sg = _oracle_problem(cfg)
     out_dir = _make_out_dir(cfg)
-    history = []
-    stride = max(1, int(round(cfg.dt / (grid.dv ** 2)))) * cfg.stride
-    sol = sg_homogeneous_solve(
-        f0, strength, basis, grid, t_end=cfg.t_end,
-        observers=[lambda s: history.append((s.time, oracle_expected_temperature(s, basis)))],
-        observer_stride=stride,
-    )
-    write_rows(out_dir / "oracle_solution.csv", sol.coeffs.T)
+    times = []   # the times at which `run` observes the same config
+    t_last = march(lambda: 0.0, lambda t, k, h: t + h, cfg.t_end, cfg.dt, times.append, cfg.stride)
+    write_rows(out_dir / "oracle_solution.csv", sg.coefficients(grid.nodes, t_last).T)
     meta = {
-        "v_min": grid.v_min, "v_max": grid.v_max, "n_points": grid.n_points,
-        "M": cfg.order, "family": cfg.family, "time": sol.time, "u": sol.u,
+        "solution": "exact stochastic Galerkin", "v_min": grid.v_min, "v_max": grid.v_max,
+        "n_points": grid.n_points, "M": cfg.order, "family": cfg.family, "time": t_last, "u": sg.u,
     }
     (out_dir / "oracle_solution.csv.meta.txt").write_text(
         "".join(f"{k}={v}\n" for k, v in meta.items()))
-    write_rows(out_dir / "oracle_temperature.csv", history, ["t,temperature"])
+    write_rows(out_dir / "oracle_temperature.csv", ((t, sg.temperature(t)) for t in times), ["t,temperature"])
     _write_manifest(out_dir, cfg, "oracle", 1)
     return 0
 
@@ -515,7 +513,7 @@ def main(argv=None) -> int:
     command("run", "integrate one experiment and emit artifacts")
     command("converge", "sweep M, S or N and tabulate temperature errors").add_argument(
         "--sweep", required=True, metavar="AXIS=V1,V2,...", help="sweep axis and values, e.g. M=1,2,3,4,5")
-    command("oracle", "finite-difference reference for the homogeneous case", seeded=False)
+    command("oracle", "exact stochastic-Galerkin reference for the homogeneous case", seeded=False)
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -15,7 +15,3 @@ class DimensionMismatchError(ValueError):
 
 class IntegrationBlowupError(ArithmeticError):
     """Non-finite values produced during time integration."""
-
-
-class SchemeFailureError(ArithmeticError):
-    """A finite-difference solve violated its conservation contract."""

@@ -1,6 +1,7 @@
-"""Time stepping shared by the particle solver and the finite-difference
-reference: the time grid and its rules, the observed march along it, and
-the classical RK4 and explicit Euler steps on a tuple of state arrays."""
+"""Time stepping of the particle solver: the time grid and its rules, the
+observed march along it, and the classical RK4 and explicit Euler steps
+on a tuple of state arrays.  ``swarmuq oracle`` marches along the same
+grid for the times of its rows, so that they are those of ``swarmuq run``."""
 from __future__ import annotations
 
 import math

@@ -161,7 +161,7 @@ def test_c04_subsampling_error_law():
 def test_c05_pde_oracle_cross_validation():
     cfg = load_config("homogeneous")
     cfg = dataclasses.replace(cfg, subsample_size=50)
-    t_oracle = _oracle_temperature(cfg)  # reference on the preset's 101-point velocity grid
+    t_oracle = _oracle_temperature(cfg)  # the exact stochastic-Galerkin temperature at t_end
     seeds = range(10)
     mean_abs = {}
     # the runs are independent: as converge --threads runs its points,

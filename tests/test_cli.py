@@ -182,6 +182,18 @@ def test_run_threads_resolve_to_usable_cores():
     assert _run_threads(1) == 1
 
 
+def test_worker_count_below_one_exits_2_without_artifacts(tmp_path, capsys):
+    # argparse refuses these counts; a library call is checked before the
+    # output directory is made
+    out = tmp_path / "never"
+    cfg_path = _write(tmp_path, MINI_HOMOGENEOUS, out=str(out))
+    for threads in (0, -2):
+        assert cmd_run(str(cfg_path), threads=threads) == 2
+        assert cmd_converge(str(cfg_path), sweep="S=5", threads=threads) == 2
+        assert not out.exists()
+        assert f"need at least one worker thread, got {threads}" in capsys.readouterr().err
+
+
 def test_run_zero_t_end_emits_initial_state_only(tmp_path):
     out = tmp_path / "zero"
     text = MINI_CONFIG.replace("t_end = 0.1", "t_end = 0.0")
@@ -331,7 +343,8 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, monkeypatch)
         raise AssertionError("computed before the output directory was made")
 
     monkeypatch.setattr("swarmuq.cli.run", no_compute)
-    monkeypatch.setattr("swarmuq.cli.sg_homogeneous_solve", no_compute)
+    monkeypatch.setattr("swarmuq.cli.ExactSg.coefficients", no_compute)
+    monkeypatch.setattr("swarmuq.cli.ExactSg.temperature", no_compute)
     for out in (blocker, blocker / "x"):
         for args in (["run", str(cfg_path)], ["converge", str(cfg_path), "--sweep", "S=5"],
                      ["oracle", str(homogeneous)]):
@@ -428,14 +441,29 @@ def test_oracle_deterministic_strength_decay(tmp_path):
 
 
 def test_oracle_starts_from_configured_initial_condition(tmp_path):
-    # bumps at +-vbar = +-1 with variance 0.2: temperature 1.15961 on the
-    # 101-point grid over [-2, 2]; bumps at the default +-mu = +-0.25 give 0.262
+    # bumps at +-vbar = +-1 with variance 0.2: temperature 0.2 + 1^2, the
+    # law's, whatever the output grid; bumps at the default +-mu = +-0.25 give 0.1625
     out = tmp_path / "oracle_vbar"
     text = MINI_HOMOGENEOUS + "\n[initial]\nkind = bivariate_bimodal_1d\nvbar = 1.0\nsigma_v_sq = 0.2\n"
     assert cmd_oracle(str(_write(tmp_path, text, out=str(out)))) == 0
     t0, temp0 = map(float, (out / "oracle_temperature.csv").read_text().splitlines()[1].split(","))
     assert t0 == 0.0
-    assert abs(temp0 - 1.15961) < 1e-5
+    assert abs(temp0 - 1.2) < 1e-15
+
+
+def test_oracle_rows_fall_at_the_run_times(tmp_path):
+    # a last short step and a stride that does not divide the step count:
+    # the oracle's t column is that of stats.csv, byte for byte
+    text = MINI_HOMOGENEOUS.replace("t_end = 0.2", "t_end = 0.235").replace("stride = 10", "stride = 7")
+    cfg_path = _write(tmp_path, text, out=str(tmp_path / "unused"))
+    assert cmd_run(str(cfg_path), out=str(tmp_path / "run"), threads=1) == 0
+    assert cmd_oracle(str(cfg_path), out=str(tmp_path / "oracle")) == 0
+    t_column = lambda path: [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
+    times = t_column(tmp_path / "run" / "stats.csv")
+    assert len(times) == 5 and float(times[-1]) != 0.235
+    assert t_column(tmp_path / "oracle" / "oracle_temperature.csv") == times
+    meta = (tmp_path / "oracle" / "oracle_solution.csv.meta.txt").read_text().splitlines()
+    assert "solution=exact stochastic Galerkin" in meta and f"time={times[-1]}" in meta
 
 
 def test_oracle_rejects_non_homogeneous(tmp_path, capsys):

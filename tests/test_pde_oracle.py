@@ -1,145 +1,136 @@
 import numpy as np
 import pytest
 
-from swarmuq.errors import ConfigurationError, SchemeFailureError
+from swarmuq.errors import ConfigurationError
 from swarmuq.gpc import PolynomialFamily, build_basis
-from swarmuq.pde_oracle import (
-    VelocityGrid,
-    bimodal_density,
-    oracle_expected_temperature,
-    sg_homogeneous_solve,
-)
+from swarmuq.models import UncertainScalar
+from swarmuq.pde_oracle import ExactSg, VelocityGrid
 
 from oracles import bimodal_moments, uniform_expectation
+
+LEGENDRE, HERMITE = PolynomialFamily.LEGENDRE, PolynomialFamily.HERMITE
 
 
 def test_velocity_grid_geometry():
     grid = VelocityGrid(-2.0, 2.0, 101)
-    assert abs(grid.dv - 0.04) < 1e-15
     assert grid.nodes[0] == -2.0 and grid.nodes[-1] == 2.0
+    assert np.allclose(np.diff(grid.nodes), 0.04, rtol=0, atol=1e-15)
     with pytest.raises(ConfigurationError):
         VelocityGrid(1.0, -1.0, 101)
     with pytest.raises(ConfigurationError):
         VelocityGrid(-1.0, 1.0, 2)
 
 
-def test_bimodal_density_unit_mass():
-    grid = VelocityGrid(-2.0, 2.0, 201)
-    f0 = bimodal_density(grid)
-    assert (f0 >= 0).all()
-    assert abs(f0.sum() * grid.dv - 1.0) < 1e-12
+def test_strength_must_be_positive_at_every_node():
+    basis = build_basis(LEGENDRE, 5)
+    for strength in ("-1.0", "0.0", "0.5 + theta"):
+        with pytest.raises(ConfigurationError):
+            ExactSg(strength, basis, 0.1, 0.25)
 
 
-def test_initial_temperature_matches_mixture_moments():
-    grid = VelocityGrid(-2.0, 2.0, 201)
-    basis = build_basis(PolynomialFamily.LEGENDRE, 3)
-    sol = sg_homogeneous_solve(bimodal_density(grid), 1.0, basis, grid, t_end=0.0)
-    _, var = bimodal_moments(0.1, 0.25)
-    assert abs(oracle_expected_temperature(sol, basis) - var) < 1e-3
+def test_coefficients_solve_the_galerkin_system():
+    # Centred differences in t and v of the returned coefficients satisfy
+    # dc/dt = d/dv[(v - u) E c] = E (c + (v - u) dc/dv), with E built
+    # from the quadrature, not from the eigenmodes; the residual falls
+    # as h^2.
+    basis = build_basis(LEGENDRE, 5)
+    strength = UncertainScalar.parse("1.0 + 0.25*theta")
+    sg = ExactSg(strength, basis, 0.1, 0.25)
+    coupling = basis.coupling_matrix(strength(basis.quad_nodes))
+    v, t = np.linspace(-1.5, 1.5, 61), 0.7
+    c = sg.coefficients(v, t)
+
+    def residual(h):
+        dc_dt = (sg.coefficients(v, t + h) - sg.coefficients(v, t - h)) / (2 * h)
+        dc_dv = (sg.coefficients(v + h, t) - sg.coefficients(v - h, t)) / (2 * h)
+        return np.abs(dc_dt - coupling @ (c + (v - sg.u) * dc_dv)).max()
+
+    coarse, fine = residual(1e-3), residual(5e-4)
+    assert coarse < 1e-4 * np.abs(c).max()
+    assert fine < 0.3 * coarse
 
 
-def test_deterministic_strength_keeps_modes_zero_and_decays():
-    grid = VelocityGrid(-2.0, 2.0, 201)
-    basis = build_basis(PolynomialFamily.LEGENDRE, 5)
-    k0 = 1.0
-    sol = sg_homogeneous_solve(bimodal_density(grid), k0, basis, grid, t_end=1.0)
-    assert np.abs(sol.coeffs[1:]).max() == 0.0
-    t0 = oracle_expected_temperature(
-        sg_homogeneous_solve(bimodal_density(grid), k0, basis, grid, t_end=0.0), basis)
-    t1 = oracle_expected_temperature(sol, basis)
-    target = t0 * np.exp(-2.0 * k0)
-    assert abs(t1 - target) / target < 0.01
+@pytest.mark.parametrize("family, strength", [(LEGENDRE, "1.0 + 0.25*theta"), (HERMITE, "1.0 + 0.1*theta")])
+@pytest.mark.parametrize("order", [3, 5, 8])
+def test_eigenmodes_are_the_gauss_rule_of_order_plus_one_nodes(family, strength, order):
+    # the rates are K at the M+1 Gauss nodes and U[0, k]^2 their weights,
+    # on the basis's own rule of M+1 or 2(M+1) nodes
+    gauss = build_basis(family, order, order + 1)
+    for quad_points in (order + 1, 2 * (order + 1)):
+        sg = ExactSg(strength, build_basis(family, order, quad_points), 0.1, 0.25)
+        assert np.abs(sg.rates - UncertainScalar.parse(strength)(gauss.quad_nodes)).max() < 1e-13
+        assert np.abs(sg.vectors[0] ** 2 - gauss.quad_weights).max() < 1e-13
 
 
-def test_mass_conserved_through_the_run():
-    grid = VelocityGrid(-2.0, 2.0, 101)
-    basis = build_basis(PolynomialFamily.LEGENDRE, 5)
-    masses = []
-    mass = lambda s: float(s.coeffs[0].sum() * s.grid.dv)
-    sol = sg_homogeneous_solve(bimodal_density(grid), "1+0.5*theta", basis, grid, t_end=1.0,
-                               observers=[lambda s: masses.append(mass(s))],
-                               observer_stride=50)
-    assert abs(mass(sol) - 1.0) < 1e-8
-    assert max(abs(m - 1.0) for m in masses) < 1e-8
+def test_constant_strength_keeps_the_higher_modes_zero():
+    basis = build_basis(LEGENDRE, 5)
+    sg = ExactSg(1.25, basis, 0.1, 0.25)
+    v = np.linspace(-2.0, 2.0, 101)
+    c = sg.coefficients(v, 1.0)
+    assert (c[1:] == 0.0).all()
+    growth = np.exp(1.25)
+    assert np.allclose(c[0], growth * sg.initial_density(v * growth), rtol=1e-15, atol=0)
+    _, t0 = bimodal_moments(0.1, 0.25)
+    assert abs(sg.temperature(1.0) - t0 * np.exp(-2.5)) <= 1e-15 * t0
 
 
-def test_affine_strength_matches_closed_form_decay():
-    # T(t) = T0 * E[exp(-2 K(theta) t)], integrated by an independent
-    # high-order quadrature
-    grid = VelocityGrid(-2.0, 2.0, 201)
-    basis = build_basis(PolynomialFamily.LEGENDRE, 5)
-    f0 = bimodal_density(grid)
-    t_end = 1.0
-    sol = sg_homogeneous_solve(f0, "1.0 + 0.5*theta", basis, grid, t_end=t_end)
-    t0 = oracle_expected_temperature(
-        sg_homogeneous_solve(f0, "1.0 + 0.5*theta", basis, grid, t_end=0.0), basis)
-    closed = t0 * uniform_expectation(lambda th: np.exp(-2 * (1.0 + 0.5 * th) * t_end))
-    assert abs(oracle_expected_temperature(sol, basis) - closed) / closed < 0.01
+def test_order_zero_runs_at_the_mean_strength():
+    basis = build_basis(LEGENDRE, 0)
+    v = np.linspace(-2.0, 2.0, 101)
+    uncertain = ExactSg("1.0 + 0.5*theta", basis, 0.1, 0.25).coefficients(v, 0.5)
+    assert np.allclose(uncertain, ExactSg(1.0, basis, 0.1, 0.25).coefficients(v, 0.5), rtol=1e-14, atol=0)
 
 
-def test_order_zero_equals_mean_strength_run():
-    grid = VelocityGrid(-2.0, 2.0, 101)
-    f0 = bimodal_density(grid)
-    b0 = build_basis(PolynomialFamily.LEGENDRE, 0)
-    uncertain = sg_homogeneous_solve(f0, "1.0 + 0.5*theta", b0, grid, t_end=0.5)
-    mean_k = sg_homogeneous_solve(f0, 1.0, b0, grid, t_end=0.5)
-    assert np.abs(uncertain.coeffs[0] - mean_k.coeffs[0]).max() < 1e-12
+@pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
+def test_mode_zero_is_a_nonnegative_unit_mass_with_the_expected_temperature(t):
+    # the trapezoid rule on a fine grid is spectrally accurate for these
+    # Gaussian bumps, the narrowest of which has width 0.32 e^(-1.25 t)
+    sg = ExactSg("1.0 + 0.25*theta", build_basis(LEGENDRE, 5), 0.1, 0.25)
+    v = np.linspace(-3.0, 3.0, 60001)
+    c0 = sg.coefficients(v, t)[0]
+    assert (c0 >= 0.0).all()
+    integral = lambda f: (f.sum() - (f[0] + f[-1]) / 2) * (v[1] - v[0])
+    assert abs(integral(c0) - 1.0) < 1e-10
+    assert abs(integral((v - sg.u) ** 2 * c0) - sg.temperature(t)) < 1e-10 * sg.temperature(t)
 
 
-def test_spectral_convergence_in_order():
-    grid = VelocityGrid(-2.0, 2.0, 401)
-    f0 = bimodal_density(grid)
-    t_end = 1.0
-    closed_factor = uniform_expectation(lambda th: np.exp(-2 * (1.0 + 0.5 * th) * t_end))
+def test_initial_temperature_is_the_mixture_variance():
+    for sigma_v_sq, centre in ((0.1, 0.25), (0.2, 1.0)):
+        sg = ExactSg("1.0 + 0.25*theta", build_basis(LEGENDRE, 3), sigma_v_sq, centre)
+        _, var = bimodal_moments(sigma_v_sq, centre)
+        assert abs(sg.temperature(0.0) - var) < 1e-15 * var
+
+
+def test_temperature_converges_spectrally_in_order():
+    # E[T](t) against T0 E[exp(-2 K(theta) t)] by a 200-node rule, and
+    # against the same sum on the M+1 Gauss nodes, which it equals
+    strength, t = UncertainScalar.parse("1.0 + 0.5*theta"), 1.0
+    _, t0 = bimodal_moments(0.1, 0.25)
+    exact = t0 * uniform_expectation(lambda th: np.exp(-2 * strength(th) * t))
     errors = []
-    for order in range(5):
-        basis = build_basis(PolynomialFamily.LEGENDRE, order)
-        sol = sg_homogeneous_solve(f0, "1.0 + 0.5*theta", basis, grid, t_end=t_end)
-        t0 = oracle_expected_temperature(
-            sg_homogeneous_solve(f0, "1.0 + 0.5*theta", basis, grid, t_end=0.0), basis)
-        errors.append(abs(oracle_expected_temperature(sol, basis) - t0 * closed_factor))
-    floor = 1e-5 * errors[0] + 1e-12
+    for order in range(8):
+        temperature = ExactSg(strength, build_basis(LEGENDRE, order), 0.1, 0.25).temperature(t)
+        gauss = build_basis(LEGENDRE, order, order + 1)
+        on_nodes = t0 * gauss.quad_weights @ np.exp(-2 * strength(gauss.quad_nodes) * t)
+        assert abs(temperature - on_nodes) <= 1e-13 * on_nodes
+        errors.append(abs(temperature - exact))
+    floor = 1e-14 * exact
     for lower, higher in zip(errors[1:], errors[:-1]):
-        assert lower < 0.5 * higher or lower < floor
+        assert lower < 0.1 * higher or lower < floor
+    assert errors[-1] < floor
 
 
-def test_expected_density_variance_decreases_monotonically():
-    grid = VelocityGrid(-2.0, 2.0, 201)
-    basis = build_basis(PolynomialFamily.LEGENDRE, 4)
-    variances = []
-
-    def watch(sol):
-        v = sol.grid.nodes
-        mass = sol.coeffs[0].sum() * sol.grid.dv
-        variances.append(((v - sol.u) ** 2 * sol.coeffs[0]).sum() * sol.grid.dv / mass)
-
-    sg_homogeneous_solve(bimodal_density(grid), "1+0.5*theta", basis, grid, t_end=1.0,
-                         observers=[watch], observer_stride=25)
-    diffs = np.diff(variances)
-    assert (diffs < 1e-12).all()
-
-
-def test_solver_rejects_bad_inputs():
-    grid = VelocityGrid(-2.0, 2.0, 101)
-    basis = build_basis(PolynomialFamily.LEGENDRE, 2)
-    good = bimodal_density(grid)
-    with pytest.raises(ConfigurationError):
-        sg_homogeneous_solve(-good, 1.0, basis, grid, t_end=0.1)
-    with pytest.raises(ConfigurationError):
-        sg_homogeneous_solve(good * 3.0, 1.0, basis, grid, t_end=0.1)
-    with pytest.raises(ConfigurationError):
-        sg_homogeneous_solve(good, "-1.0", basis, grid, t_end=0.1)
-    with pytest.raises(ConfigurationError):
-        sg_homogeneous_solve(good[:-1], 1.0, basis, grid, t_end=0.1)
-    with pytest.raises(ConfigurationError):
-        sg_homogeneous_solve(np.where(good > good.max() / 2, np.nan, good), 1.0, basis, grid, t_end=0.1)
-
-
-def test_blowup_reports_scheme_failure():
-    # dt = dv^2 is only stable for moderate drift strength; a huge K blows
-    # past the explicit stability region and must be reported
-    grid = VelocityGrid(-2.0, 2.0, 101)
-    basis = build_basis(PolynomialFamily.LEGENDRE, 1)
-    f0 = bimodal_density(grid)
-    with np.errstate(all="ignore"), pytest.raises(SchemeFailureError):
-        sg_homogeneous_solve(f0, 50.0, basis, grid, t_end=1.0)
+def test_galerkin_density_loses_positivity_while_mode_zero_keeps_it():
+    # the paper's claim for stochastic Galerkin: at M = 5 the density at
+    # the quadrature nodes goes negative, and more so at t = 3 than at
+    # t = 1, while its mean over theta, mode 0, stays nonnegative
+    basis = build_basis(LEGENDRE, 5)
+    sg = ExactSg("1.0 + 0.25*theta", basis, 0.1, 0.25)
+    v = np.linspace(-2.0, 2.0, 4001)
+    lowest = {}
+    for t in (1.0, 3.0):
+        c = sg.coefficients(v, t)
+        assert (c[0] >= 0.0).all()
+        lowest[t] = (basis.basis_table.T @ c).min()
+    assert lowest[3.0] < -0.01
+    assert lowest[3.0] < lowest[1.0] < 0.0

@@ -2,14 +2,18 @@
 
 Relabelling the particles by a permutation, together with a partner
 table that names the same partners in the same order, must move every
-particle's trajectory with its label and change no bit of it.
+particle's trajectory with its label and change no bit of it.  A
+rotation of space by 90 degrees or a reflection of it must move the
+whole run with it, also bit for bit.
 """
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
 from swarmuq import solver
+from swarmuq.cli import build_experiment, load_config
 from swarmuq.ensemble import GpcEnsemble, InitialCondition, sample_initial
 from swarmuq.gpc import PolynomialFamily, build_basis
 from swarmuq.models import CuckerSmaleParams, MorseSwarmParams
@@ -77,3 +81,32 @@ def test_relabelling_moves_the_subsampled_homogeneous_path_bit_for_bit(monkeypat
     assert not np.array_equal(want.v_hat, ens.v_hat)
     assert got.x_hat.tobytes() == want.x_hat[perm].tobytes()
     assert got.v_hat.tobytes() == want.v_hat[perm].tobytes()
+
+
+def _rotate(a):
+    """(x, y) -> (-y, x) of every particle's modes."""
+    return np.stack([-a[:, 1], a[:, 0]], axis=1)
+
+
+def _reflect(a):
+    """(x, y) -> (x, -y) of every particle's modes."""
+    return np.stack([a[:, 0], -a[:, 1]], axis=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("preset", ["mill_2d_desk", "cs_2d_desk", "combined_2d_desk"])
+def test_rotation_and_reflection_move_the_run_bit_for_bit(preset, threads):
+    # N = 300 particles and 10 steps: the run of the rotated (reflected)
+    # start is the rotated (reflected) run, bit for bit.  Both are exact
+    # because a squared distance sums two squares, a + b = b + a in IEEE
+    # arithmetic, and a sign change rounds nothing.
+    n, steps = 300, 10
+    ic, cfg = build_experiment(load_config(preset))
+    cfg = dataclasses.replace(cfg, n_particles=n)
+    ens = sample_initial(ic, n, cfg.seed, cfg.model.basis.n_modes)
+    want = _march(ens, cfg, threads, steps)
+    assert not np.array_equal(want.v_hat, ens.v_hat)
+    for transform in (_rotate, _reflect):
+        got = _march(GpcEnsemble(transform(ens.x_hat), transform(ens.v_hat), time=ens.time), cfg, threads, steps)
+        assert got.x_hat.tobytes() == transform(want.x_hat).tobytes(), transform.__name__
+        assert got.v_hat.tobytes() == transform(want.v_hat).tobytes(), transform.__name__
