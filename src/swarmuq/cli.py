@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .diagnostics import (
     compute_stats,
@@ -41,7 +43,7 @@ from .ensemble import BimodalVelocity1D, InitialCondition, save_snapshot
 from .errors import ConfigurationError, IntegrationBlowupError
 from .gpc import PolynomialFamily, build_basis, tensor_basis
 from .models import CuckerSmaleParams, MorseSwarmParams, UncertainScalar
-from .pde_oracle import ExactSg, VelocityGrid
+from .pde_oracle import ExactSg
 from .solver import ModelSpec, SolverConfig, run
 from .timegrid import march
 
@@ -109,6 +111,16 @@ def _as_int(text: str) -> int:
     return int(value)
 
 
+def _at_least(low: int):
+    """An integer, cast as ``_as_int``, of at least ``low``."""
+    def cast(text: str) -> int:
+        value = _as_int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return cast
+
+
 def _as_affine(text: str) -> str:
     """An uncertain scalar, affine in theta; kept as written."""
     UncertainScalar.parse(text)
@@ -150,27 +162,29 @@ class ExperimentConfig:
     ic_kind: str
     ic_params: dict
     out_dir: str = _key("output", "dir", "out")
-    stride: int = _key("output", "stride", 1, _as_int)
+    stride: int = _key("output", "stride", 1, _at_least(1))
     grid_min: float = _key("output", "grid_min", -2.0, _as_float)
     grid_max: float = _key("output", "grid_max", 2.0, _as_float)
-    grid_bins: int = _key("output", "grid_bins", 50, _as_int)
+    grid_bins: int = _key("output", "grid_bins", 50, _at_least(1))
     pgm: bool = _key("output", "pgm", False, _as_bool)
     integrator: str = _key("experiment", "integrator", "rk4", _one_of("rk4", "euler"))
     reference: str = _key("converge", "reference", "particle", _one_of("particle", "oracle"))
-    reference_order: int | None = _key("converge", "reference_order", None, _as_int)
-    oracle_points: int = _key("oracle", "points", 801, _as_int)
+    reference_order: int | None = _key("converge", "reference_order", None, _at_least(0))
+    oracle_points: int = _key("oracle", "points", 801, _at_least(3))
     oracle_v_min: float = _key("oracle", "v_min", -2.0, _as_float)
     oracle_v_max: float = _key("oracle", "v_max", 2.0, _as_float)
     source: str
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file (or shipped preset name).
+    """Parse and validate a config file (or shipped preset name): the one
+    place where a config's values are checked, for every command.
 
     Every key is read through one ``get``, which casts it and records it:
     the keys declared on ``ExperimentConfig``'s fields, the experiment's
     [model] keys and its initial condition's [initial] keys.  Any section
-    or key of the file that was not read is an error."""
+    or key of the file that was not read is an error, and so is a
+    [DEFAULT] section, whose keys configparser copies into every other."""
     candidate = Path(path)
     if not candidate.exists():
         try:
@@ -186,6 +200,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read {candidate}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {candidate}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigurationError(f"{candidate}: a [DEFAULT] section is not supported, set each key in its section")
 
     read = set()
 
@@ -224,14 +240,13 @@ def load_config(path) -> ExperimentConfig:
         if unknown:
             raise ConfigurationError(
                 f"{candidate}: unknown [{section}] key(s) for experiment {kind!r}: {', '.join(unknown)}")
-    if cfg.stride < 1:
-        raise ConfigurationError(f"{candidate}: [output] stride must be >= 1, got {cfg.stride}")
-    if cfg.grid_bins < 1:
-        raise ConfigurationError(f"{candidate}: [output] grid_bins must be >= 1, got {cfg.grid_bins}")
-    if not cfg.grid_min < cfg.grid_max:
-        raise ConfigurationError(
-            f"{candidate}: [output] needs grid_min < grid_max, got {cfg.grid_min} and {cfg.grid_max}")
+    for section, rule, low, high in (("output", "grid_min < grid_max", cfg.grid_min, cfg.grid_max),
+                                     ("oracle", "v_min < v_max", cfg.oracle_v_min, cfg.oracle_v_max)):
+        if not low < high:
+            raise ConfigurationError(f"{candidate}: [{section}] needs {rule}, got {low} and {high}")
     build_experiment(cfg)  # validate eagerly, before any artifact is written
+    if cfg.reference == "oracle":
+        _oracle_problem(cfg)
     return cfg
 
 
@@ -326,8 +341,11 @@ def _configured(config_path, out: str | None = None, seed: int | None = None,
 
 
 def _make_out_dir(cfg: ExperimentConfig) -> Path:
-    """Create the output directory of ``cfg`` and return it; a path that
-    cannot be made a directory is a configuration error."""
+    """Create the output directory of ``cfg`` and return it; an empty path,
+    which would name the working directory, or a path that cannot be made
+    a directory is a configuration error."""
+    if not cfg.out_dir:
+        raise ConfigurationError("the output directory is empty; write . for the working directory")
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -402,18 +420,20 @@ def _final_temperature(cfg: ExperimentConfig) -> float:
     return expected_temperature(final, solver_cfg.model.basis)
 
 
-def _oracle_problem(cfg: ExperimentConfig):
-    """Output velocity grid and exact stochastic-Galerkin solution of the
-    homogeneous experiment ``cfg``."""
-    grid = VelocityGrid(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
+def _oracle_problem(cfg: ExperimentConfig) -> ExactSg:
+    """Exact stochastic-Galerkin solution of ``cfg``, which must be the
+    homogeneous experiment: the oracle solves no other."""
+    if cfg.kind != "homogeneous":
+        raise ConfigurationError(
+            f"{cfg.source}: the oracle applies only to the homogeneous experiment, not {cfg.kind!r}")
     ic, solver_cfg = build_experiment(cfg)
     # the velocity law of either 1D initial condition: two bumps at +-mu or +-vbar
     centre = ic.mu if isinstance(ic, BimodalVelocity1D) else ic.vbar
-    return grid, ExactSg(solver_cfg.model.alignment.K, solver_cfg.model.basis, ic.sigma_v_sq, centre)
+    return ExactSg(solver_cfg.model.alignment.K, solver_cfg.model.basis, ic.sigma_v_sq, centre)
 
 
 def _oracle_temperature(cfg: ExperimentConfig) -> float:
-    return _oracle_problem(cfg)[1].temperature(cfg.t_end)
+    return _oracle_problem(cfg).temperature(cfg.t_end)
 
 
 @_exit_code
@@ -429,8 +449,6 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
     if not values:
         raise ConfigurationError(f"empty sweep {sweep!r}")
     points = list(_sweep_points(cfg, axis, values))
-    if cfg.reference == "oracle" and cfg.kind != "homogeneous":
-        raise ConfigurationError("the oracle reference is only available for the homogeneous experiment")
     ref_cfg = None
     if cfg.reference == "particle":
         ref_order = cfg.reference_order
@@ -438,12 +456,10 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
             ref_order = max(values) + 4 if axis == "M" else cfg.order
         ref_cfg = dataclasses.replace(cfg, order=ref_order, quad_points=None,
                                       subsample_size=cfg.n_particles)
-    # build every experiment and the reference problem now, so that a bad
-    # point or oracle grid fails before anything is written
+    # build every experiment now, so that a bad point fails before
+    # anything is written; load_config has checked the oracle reference
     for point_cfg in [pc for _, pc in points] + ([ref_cfg] if ref_cfg else []):
         build_experiment(point_cfg)
-    if ref_cfg is None:
-        _oracle_problem(cfg)
 
     out_dir = _make_out_dir(cfg)
     reference = _oracle_temperature(cfg) if ref_cfg is None else _final_temperature(ref_cfg)
@@ -463,33 +479,21 @@ def cmd_converge(config_path, sweep: str, out: str | None = None, seed: int | No
 @_exit_code
 def cmd_oracle(config_path, out: str | None = None) -> int:
     cfg = _configured(config_path, out)  # the exact solution draws no random numbers
-    if cfg.kind != "homogeneous":
-        raise ConfigurationError("the oracle command only applies to the homogeneous experiment")
-    grid, sg = _oracle_problem(cfg)
+    sg = _oracle_problem(cfg)
     out_dir = _make_out_dir(cfg)
     times = []   # the times at which `run` observes the same config
     t_last = march(lambda: 0.0, lambda t, k, h: t + h, cfg.t_end, cfg.dt, times.append, cfg.stride)
-    write_rows(out_dir / "oracle_solution.csv", sg.coefficients(grid.nodes, t_last).T)
+    nodes = np.linspace(cfg.oracle_v_min, cfg.oracle_v_max, cfg.oracle_points)
+    write_rows(out_dir / "oracle_solution.csv", sg.coefficients(nodes, t_last).T)
     meta = {
-        "solution": "exact stochastic Galerkin", "v_min": grid.v_min, "v_max": grid.v_max,
-        "n_points": grid.n_points, "M": cfg.order, "family": cfg.family, "time": t_last, "u": sg.u,
+        "solution": "exact stochastic Galerkin", "v_min": cfg.oracle_v_min, "v_max": cfg.oracle_v_max,
+        "n_points": cfg.oracle_points, "M": cfg.order, "family": cfg.family, "time": t_last, "u": sg.u,
     }
     (out_dir / "oracle_solution.csv.meta.txt").write_text(
         "".join(f"{k}={v}\n" for k, v in meta.items()))
     write_rows(out_dir / "oracle_temperature.csv", ((t, sg.temperature(t)) for t in times), ["t,temperature"])
     _write_manifest(out_dir, cfg, "oracle", 1)
     return 0
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of ``--threads``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def main(argv=None) -> int:
@@ -504,10 +508,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-            p.add_argument("--threads", type=_positive_int, default=None,
+            p.add_argument("--threads", type=int, default=None,
                            help="worker threads: for run, those that share each step's subsample draw and "
                                 "each stage's work (default and limit: the usable cores); for converge, "
-                                "the sweep points run at once (default 1)")
+                                "the sweep points run at once (default 1); a count below 1 is a "
+                                "configuration error")
         return p
 
     command("run", "integrate one experiment and emit artifacts")

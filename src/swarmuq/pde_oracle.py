@@ -19,32 +19,11 @@ positivity, which is what the particle solver is validated against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
 from .gpc import Basis
 from .models import UncertainScalar, _as_uncertain
-
-
-@dataclass(frozen=True)
-class VelocityGrid:
-    """Uniform grid on [v_min, v_max] with n_points nodes."""
-
-    v_min: float
-    v_max: float
-    n_points: int
-
-    def __post_init__(self):
-        if not self.v_min < self.v_max:
-            raise ConfigurationError(f"need v_min < v_max, got [{self.v_min}, {self.v_max}]")
-        if self.n_points < 3:
-            raise ConfigurationError(f"need at least 3 grid points, got {self.n_points}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.v_min, self.v_max, self.n_points)
 
 
 class ExactSg:

@@ -183,8 +183,8 @@ def test_run_threads_resolve_to_usable_cores():
 
 
 def test_worker_count_below_one_exits_2_without_artifacts(tmp_path, capsys):
-    # argparse refuses these counts; a library call is checked before the
-    # output directory is made
+    # checked before the output directory is made, from the command line
+    # as from a library call
     out = tmp_path / "never"
     cfg_path = _write(tmp_path, MINI_HOMOGENEOUS, out=str(out))
     for threads in (0, -2):
@@ -192,6 +192,9 @@ def test_worker_count_below_one_exits_2_without_artifacts(tmp_path, capsys):
         assert cmd_converge(str(cfg_path), sweep="S=5", threads=threads) == 2
         assert not out.exists()
         assert f"need at least one worker thread, got {threads}" in capsys.readouterr().err
+        assert main(["run", str(cfg_path), "--threads", str(threads)]) == 2
+        assert not out.exists()
+        assert f"configuration error: need at least one worker thread, got {threads}" in capsys.readouterr().err
 
 
 def test_run_zero_t_end_emits_initial_state_only(tmp_path):
@@ -281,6 +284,50 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     assert cmd_converge(str(negative), sweep="S=5") == 2
     assert not out.exists()
     assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+
+def test_run_refuses_what_converge_and_oracle_refuse_before_any_directory(tmp_path, capsys, monkeypatch):
+    # load_config checks the [oracle] and [converge] values that only the
+    # oracle and converge commands use, so run refuses them too; an empty
+    # output directory, from the config or from --out, would name the
+    # working directory and is refused as well
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out = tmp_path / "never"
+    homogeneous = MINI_HOMOGENEOUS.format(out=out)
+    for text, message in (
+            (homogeneous.replace("points = 101", "points = 2"), "[oracle] points: '2' (must be at least 3)"),
+            (homogeneous.replace("points = 101", "points = 101\nv_min = 2.0\nv_max = -2.0"),
+             "[oracle] needs v_min < v_max, got 2.0 and -2.0"),
+            (MINI_CONFIG.format(out=out) + "\n[converge]\nreference = oracle\n",
+             "the oracle applies only to the homogeneous experiment, not 'cs_1d'"),
+            (homogeneous.replace("reference = particle", "reference = particle\nreference_order = -1"),
+             "[converge] reference_order: '-1' (must be at least 0)"),
+            (homogeneous.replace(f"dir = {out}", "dir ="), "the output directory is empty")):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert cmd_run(str(cfg_path)) == 2, message
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not any(cwd.iterdir())
+    cfg_path.write_text(homogeneous)
+    assert main(["run", str(cfg_path), "--out", ""]) == 2
+    assert "configuration error: the output directory is empty" in capsys.readouterr().err
+    assert not out.exists() and not any(cwd.iterdir())
+
+
+def test_default_section_is_refused_by_name(tmp_path, capsys):
+    # configparser would copy its keys into every section, where they read
+    # as unknown [model] or [initial] keys
+    cfg_path = tmp_path / "default.cfg"
+    cfg_path.write_text("[DEFAULT]\nseed = 3\n" + preset_path("cs_1d_desk").read_text())
+    assert cmd_run(str(cfg_path), out=str(tmp_path / "never")) == 2
+    err = capsys.readouterr().err
+    assert "a [DEFAULT] section is not supported" in err and "unknown" not in err
+    assert not (tmp_path / "never").exists()
+    # an empty [DEFAULT] header sets nothing
+    cfg_path.write_text("[DEFAULT]\n" + preset_path("cs_1d_desk").read_text())
+    assert load_config(cfg_path).seed == load_config("cs_1d_desk").seed
 
 
 def test_misspelled_model_key_exits_2(tmp_path, capsys):
@@ -422,9 +469,11 @@ def test_oracle_command(tmp_path):
     assert abs(t_end - 0.2) < 1e-9
     # uncertain strength: decay bracketed by the extreme node rates
     assert t0 * np.exp(-2 * 1.25 * 0.2) < t_final < t0 * np.exp(-2 * 0.75 * 0.2)
-    # solution matrix: rows = grid points, columns = modes
+    # solution matrix: rows = the 101 points of [-2, 2], columns = modes
     data = np.loadtxt(out / "oracle_solution.csv", delimiter=",")
     assert data.shape == (101, 4)
+    meta = (out / "oracle_solution.csv.meta.txt").read_text().splitlines()
+    assert {"v_min=-2.0", "v_max=2.0", "n_points=101"} <= set(meta)
 
 
 def test_oracle_deterministic_strength_decay(tmp_path):
@@ -500,12 +549,11 @@ def test_converge_rejects_bad_sweeps(tmp_path, capsys):
     assert cmd_converge(str(cfg_path), sweep="M=a,b") == 2
     for bad in ("S=inf", "S=2.5", "N=nan", "M=1e400", "M=2,-inf"):
         assert cmd_converge(str(cfg_path), sweep=bad) == 2, bad
-    # a worker pool of no threads fails in argparse, before the reference solve
-    with pytest.raises(SystemExit) as exc:
-        main(["converge", str(cfg_path), "--sweep", "S=5", "--threads", "-1"])
-    assert exc.value.code == 2
+    # a worker pool of no threads fails before the reference solve
+    capsys.readouterr()
+    assert main(["converge", str(cfg_path), "--sweep", "S=5", "--threads", "-1"]) == 2
     assert not (tmp_path / "x").exists()
-    assert "--threads" in capsys.readouterr().err
+    assert "need at least one worker thread, got -1" in capsys.readouterr().err
     # a bad point after a good one fails before the reference solve and the mkdir
     small = _write(tmp_path, MINI_HOMOGENEOUS.replace("N = 500\nS = 500", "N = 200\nS = 200"),
                    name="small.cfg", out=str(tmp_path / "y"))
@@ -530,11 +578,11 @@ def test_cli_main_entrypoint(tmp_path):
     with pytest.raises(SystemExit):
         main(["oracle", str(cfg_path), "--seed", "1"])
     other = tmp_path / "no_threads"
-    for threads in ("0", "two"):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(cfg_path), "--out", str(other), "--threads", threads])
-        assert exc.value.code == 2
-        assert not other.exists()
+    assert main(["run", str(cfg_path), "--out", str(other), "--threads", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg_path), "--out", str(other), "--threads", "two"])
+    assert exc.value.code == 2
+    assert not other.exists()
     # so does a negative --seed, for run and converge
     assert main(["run", str(cfg_path), "--out", str(other), "--seed", "-3"]) == 2
     assert main(["converge", str(cfg_path), "--sweep", "S=5", "--out", str(other), "--seed", "-3"]) == 2

@@ -4,21 +4,11 @@ import pytest
 from swarmuq.errors import ConfigurationError
 from swarmuq.gpc import PolynomialFamily, build_basis
 from swarmuq.models import UncertainScalar
-from swarmuq.pde_oracle import ExactSg, VelocityGrid
+from swarmuq.pde_oracle import ExactSg
 
 from oracles import bimodal_moments, uniform_expectation
 
 LEGENDRE, HERMITE = PolynomialFamily.LEGENDRE, PolynomialFamily.HERMITE
-
-
-def test_velocity_grid_geometry():
-    grid = VelocityGrid(-2.0, 2.0, 101)
-    assert grid.nodes[0] == -2.0 and grid.nodes[-1] == 2.0
-    assert np.allclose(np.diff(grid.nodes), 0.04, rtol=0, atol=1e-15)
-    with pytest.raises(ConfigurationError):
-        VelocityGrid(1.0, -1.0, 101)
-    with pytest.raises(ConfigurationError):
-        VelocityGrid(-1.0, 1.0, 2)
 
 
 def test_strength_must_be_positive_at_every_node():
